@@ -179,7 +179,7 @@ def _cmd_dist(args) -> int:
 def _cmd_gram_check(args) -> int:
     a = parse_csv(args.matrix, "complex").matrix()
     s = minor_sum(a)
-    ld = gram_logdet(householder_qr(a, pivot=True))
+    ld = gram_logdet(householder_qr(a))
     g = ld.magnitude()
     bvec = orthogonal_minor_vector(a)
     residual = float(np.linalg.norm(np.conj(a).T @ bvec))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import EPS, LogDet, _frozen, as_matrix, as_vector, conj_transpose, det_lu, matmul, solve_hermitian_psd
+from .linalg import EPS, LogDet, _frozen, as_matrix, as_vector, det_lu, solve_hermitian_psd
 from .qr import gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
@@ -56,8 +56,12 @@ def augment(a, b) -> np.ndarray:
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
-    """Log determinants of A* A and of (A|b)* (A|b), via pivoted QR.
+    """Log determinants of A* A and of (A|b)* (A|b), via QR.
 
+    The augmented Gram determinant is read off the factor of (b|A), which
+    has the same determinant: factoring (A|b) would repeat A's factor in its
+    leading block bit for bit, and the product identity that ``verify``
+    checks between this and :func:`distance_qr` would hold by construction.
     For a square A the augmented columns are necessarily dependent, so the
     augmented Gram determinant is exactly zero.
     """
@@ -68,9 +72,9 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
         )
     m, n = mat.shape
-    ld_a = gram_logdet(householder_qr(mat, pivot=True))
+    ld_a = gram_logdet(householder_qr(mat))
     if m >= n + 1:
-        ld_ab = gram_logdet(householder_qr(augment(mat, vec), pivot=True))
+        ld_ab = gram_logdet(householder_qr(np.column_stack([vec, mat])))
     else:
         ld_ab = LogDet.zero()
     return ld_a, ld_ab
@@ -110,8 +114,8 @@ def distance_projection(a, b) -> DistanceResult:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
         )
-    at = conj_transpose(mat)
-    gram = matmul(at, mat)
+    at = mat.conj().T
+    gram = at @ mat
     rhs = at @ vec
     try:
         x = solve_hermitian_psd(gram, rhs)
@@ -120,21 +124,20 @@ def distance_projection(a, b) -> DistanceResult:
     value = float(np.linalg.norm(vec - mat @ x))
     aug = augment(mat, vec)
     ld_a = det_lu(gram)
-    ld_ab = det_lu(matmul(conj_transpose(aug), aug))
+    ld_ab = det_lu(aug.conj().T @ aug)
     return DistanceResult(value, "projection", ld_a, ld_ab)
 
 
 def distance_qr(a, b) -> DistanceResult:
     """Distance from the triangularized (A|b), no rank requirement.
 
-    The augmented matrix is factored without pivoting so b stays the last
+    The augmented matrix is factored without pivoting, so b stays the last
     column.  After the first n reflectors the tail of the transformed b is
     the residual; the final reflector collapses that tail into the single
     entry r[n, n], which is at once the (n+1)-th coordinate (m = n+1) and
-    the tail norm (m > n+1).  When A is rank deficient the columns whose
-    diagonal vanished never consumed their coordinate direction, and the
-    reflectors never touch those rows again, so the b-column entries left
-    there are unmatched as well:
+    the tail norm (m > n+1).  When A is rank deficient, a column whose
+    diagonal falls to tolerance adds no direction to the span, so the
+    b-column entry in its row is unmatched as well:
 
         value^2 = |r[n, n]|^2  +  sum |r[k, n]|^2 over k < n
                                    with |r[k, k]| at or below tolerance
@@ -150,14 +153,11 @@ def distance_qr(a, b) -> DistanceResult:
         )
     m, n = mat.shape
     aug = augment(mat, vec)
-    f = householder_qr(aug, pivot=False)
+    f = householder_qr(aug)
     tau = max(m, n + 1) * EPS * float(np.linalg.norm(aug))
-    resid2 = float(abs(f.r[n, n])) ** 2
-    diag = np.abs(np.diag(f.r))
-    for k in range(n):
-        if diag[k] <= tau:
-            resid2 += float(abs(f.r[k, n])) ** 2
-    value = math.sqrt(resid2)
+    unmatched = np.abs(np.diag(f.r)) <= tau
+    unmatched[n] = True
+    value = float(np.linalg.norm(f.r[unmatched, n]))
     ld_a, ld_ab = gram_logdets(mat, vec)
     return DistanceResult(value, "qr_coordinate", ld_a, ld_ab)
 

@@ -1,5 +1,5 @@
 """Dense matrix arithmetic: validated immutable arrays, determinants kept in
-log form, and hermitian positive-definite solves.
+log form, and hermitian positive-definite solves, both on LAPACK.
 
 Inputs are validated and copied; outputs come back with the writeable flag
 cleared, so every operation behaves as a pure function over values.
@@ -134,87 +134,46 @@ class LogDet:
         return LogDet(self.phase * other.phase, self.log_mag + other.log_mag)
 
 
-def conj_transpose(m) -> np.ndarray:
-    """Conjugate transpose; a plain transpose for real input."""
-    a = as_matrix(m)
-    return _frozen(a.conj().T.copy())
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    x = as_matrix(a)
-    y = as_matrix(b)
-    if x.shape[1] != y.shape[0]:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {x.shape} times {y.shape}"
-        )
-    return _frozen(x @ y)
-
-
 def det_lu(m) -> LogDet:
-    """Determinant by LU elimination with partial pivoting, in log form.
+    """Determinant by LU with partial pivoting (LAPACK getrf), in log form.
 
-    The pivot is the largest remaining magnitude in the current column; each
-    row swap flips the phase.  An exactly zero pivot short-circuits to the
-    exact zero determinant.
+    An exactly singular factor gives the exact zero determinant.
     """
-    a0 = as_matrix(m)
-    n, ncols = a0.shape
-    if n != ncols:
-        raise NotSquare(f"determinant needs a square matrix, got {a0.shape}")
-    a = a0.astype(np.complex128)
-    phase = 1.0 + 0.0j
-    log_mag = 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        piv = a[p, k]
-        if piv == 0:
-            return LogDet.zero()
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            phase = -phase
-        mag = abs(piv)
-        phase *= complex(piv.real / mag, piv.imag / mag)
-        log_mag += math.log(mag)
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / piv, a[k, k + 1 :])
-    return LogDet(phase, log_mag)
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"determinant needs a square matrix, got {a.shape}")
+    sign, log_mag = np.linalg.slogdet(a)
+    if sign == 0:
+        return LogDet.zero()
+    return LogDet(complex(sign), float(log_mag))
 
 
 def solve_hermitian_psd(h, rhs) -> np.ndarray:
     """Solve H x = rhs for hermitian positive definite H by Cholesky.
 
-    The pivot tolerance is dim * eps * max(diag(H)); a pivot at or below it
-    raises :class:`NotPositiveDefinite`.  Real inputs give a real solution.
+    The pivot tolerance is dim * eps * max(diag(H)); a pivot diag(L)**2 at
+    or below it, or a factorization that fails outright, raises
+    :class:`NotPositiveDefinite`.  Real inputs give a real solution.
     """
-    h0 = as_matrix(h)
-    b0 = as_vector(rhs)
-    n = h0.shape[0]
-    if h0.shape[1] != n:
-        raise NotSquare(f"expected a square matrix, got {h0.shape}")
-    if b0.shape[0] != n:
+    hm = as_matrix(h)
+    b = as_vector(rhs)
+    n = hm.shape[0]
+    if hm.shape[1] != n:
+        raise NotSquare(f"expected a square matrix, got {hm.shape}")
+    if b.shape[0] != n:
         raise DimensionMismatch(
-            f"matrix is {n}x{n} but right-hand side has length {b0.shape[0]}"
+            f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}"
         )
-    real_in = not (np.iscomplexobj(h0) or np.iscomplexobj(b0))
-    hm = h0.astype(np.complex128)
-    b = b0.astype(np.complex128)
     tau = n * EPS * float(np.max(hm.diagonal().real))
-    low = np.zeros((n, n), np.complex128)
-    for j in range(n):
-        d = hm[j, j].real - float(np.real(np.vdot(low[j, :j], low[j, :j])))
-        if d <= tau:
-            raise NotPositiveDefinite(
-                f"pivot {d!r} at column {j} is at or below tolerance {tau!r}"
-            )
-        ljj = math.sqrt(d)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (hm[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j].conj()) / ljj
-    y = np.zeros(n, np.complex128)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i].real
-    x = np.zeros(n, np.complex128)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - np.vdot(low[i + 1 :, i], x[i + 1 :])) / low[i, i].real
-    return _frozen(x.real.copy() if real_in else x)
+    try:
+        low = np.linalg.cholesky(hm)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
+    pivots = np.abs(np.diagonal(low)) ** 2
+    j = int(np.argmin(pivots))
+    if pivots[j] <= tau:
+        raise NotPositiveDefinite(
+            f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {tau!r}"
+        )
+    y = np.linalg.solve(low, b)
+    return _frozen(np.linalg.solve(low.conj().T, y))

@@ -1,120 +1,52 @@
-"""Householder QR with an implicit Q.
+"""Householder QR through LAPACK, keeping only the triangular factor.
 
-Q is never materialized: the factorization keeps one unit reflector per
-column and applies them on demand.  The Gram log-determinant of the input is
-read directly off the triangular diagonal, which is the numerically safe way
-to get det(A* A) for tall matrices.
+The Gram log-determinant of the input is read directly off the triangular
+diagonal, which is the numerically safe way to get det(A* A) for tall
+matrices.  Q is never formed: callers that need a unitary matrix take it
+from ``np.linalg.qr`` directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ShapeError
-from .linalg import EPS, LogDet, _frozen, as_matrix, as_vector
+from .errors import ShapeError
+from .linalg import EPS, LogDet, _frozen, as_matrix
 
 
 @dataclass(frozen=True)
 class QRFactors:
-    """Implicit-Q factorization A[:, col_perm] = Q R.
+    """The n x n triangular factor R of A = Q R, columns in the caller's order.
 
-    reflectors holds one unit Householder vector per column, the k-th acting
-    on rows k..m-1.  r is the n x n top block of the triangular factor (the
-    rows below it are zero).  rank_estimate counts diagonal entries of r
-    above max(m, n) * eps * |r[0, 0]|.
+    rank_estimate counts the singular values of r above
+    max(m, n) * eps * (largest column norm of A).
     """
 
-    reflectors: tuple
     r: np.ndarray
-    col_perm: np.ndarray | None
     rank_estimate: int
-    rows: int
-
-    @property
-    def cols(self) -> int:
-        return self.r.shape[0]
 
 
-def householder_qr(a, pivot: bool = True) -> QRFactors:
-    """Factor a tall matrix into implicit-Q Householder form.
+def _rank_of_r(r: np.ndarray, rows: int) -> int:
+    """Numerical rank of A from its triangular factor and row count.
 
-    With pivot=True columns are reordered by largest remaining norm, which
-    makes the diagonal of R non-increasing in magnitude and the rank estimate
-    trustworthy.  pivot=False keeps the caller's column order; the distance
-    routines need that when the augmented column must stay last.
+    R has the column norms and singular values of A, so the count is the same
+    as on A itself, and it does not depend on the column order.
     """
+    n = r.shape[1]
+    tol = max(rows, n) * EPS * float(np.max(np.linalg.norm(r, axis=0)))
+    return int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+
+
+def householder_qr(a) -> QRFactors:
+    """Factor a tall matrix by unpivoted Householder QR (LAPACK geqrf)."""
     mat = as_matrix(a)
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")
-    w = mat.astype(np.complex128)
-    perm = np.arange(n) if pivot else None
-    reflectors = []
-    for k in range(n):
-        if pivot:
-            norms = np.sum(np.abs(w[k:, k:]) ** 2, axis=0)
-            j = k + int(np.argmax(norms))
-            if j != k:
-                w[:, [k, j]] = w[:, [j, k]]
-                perm[[k, j]] = perm[[j, k]]
-        x = w[k:, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            reflectors.append(_frozen(np.zeros(m - k, np.complex128)))
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else 1.0 + 0.0j
-        v = x.copy()
-        v[0] += ph * nx
-        u = v / np.linalg.norm(v)
-        reflectors.append(_frozen(u))
-        w[k:, k:] -= 2.0 * np.outer(u, u.conj() @ w[k:, k:])
-        w[k + 1 :, k] = 0.0
-    r = np.triu(w[:n, :n])
-    diag = np.abs(np.diag(r))
-    tol = max(m, n) * EPS * float(diag[0])
-    rank = int(np.sum(diag > tol))
-    return QRFactors(
-        reflectors=tuple(reflectors),
-        r=_frozen(r),
-        col_perm=None if perm is None else _frozen(perm),
-        rank_estimate=rank,
-        rows=m,
-    )
-
-
-def apply_q_transpose(f: QRFactors, v) -> np.ndarray:
-    """Q* v, applying the reflectors in factorization order.
-
-    Unitary, so the norm is preserved to machine precision.  Always returns
-    a complex vector.
-    """
-    w = as_vector(v)
-    if w.shape[0] != f.rows:
-        raise DimensionMismatch(
-            f"vector length {w.shape[0]} does not match row count {f.rows}"
-        )
-    out = w.astype(np.complex128)
-    for k, u in enumerate(f.reflectors):
-        out[k:] -= 2.0 * u * np.vdot(u, out[k:])
-    return _frozen(out)
-
-
-def apply_q(f: QRFactors, v) -> np.ndarray:
-    """Q v, the inverse transform of :func:`apply_q_transpose`."""
-    w = as_vector(v)
-    if w.shape[0] != f.rows:
-        raise DimensionMismatch(
-            f"vector length {w.shape[0]} does not match row count {f.rows}"
-        )
-    out = w.astype(np.complex128)
-    for k in range(len(f.reflectors) - 1, -1, -1):
-        u = f.reflectors[k]
-        out[k:] -= 2.0 * u * np.vdot(u, out[k:])
-    return _frozen(out)
+    r = np.linalg.qr(mat, mode="r")
+    return QRFactors(r=_frozen(r), rank_estimate=_rank_of_r(r, m))
 
 
 def gram_logdet(f: QRFactors) -> LogDet:

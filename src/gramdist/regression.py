@@ -4,12 +4,12 @@ The minimized residual norm (the loss value) and the multiple correlation
 coefficient both come in two flavors: the classical route through the normal
 equations, and a determinant route that needs no solve at all -- the loss is
 the square root of the ratio of two centered Gram determinants, and the
-correlation follows from it by Pythagoras.
+correlation follows from it by Pythagoras.  Both determinants are read off
+one triangular factor of (Xc|yc).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     ZeroVariance,
 )
 from .linalg import EPS, _frozen, as_real_matrix, as_real_vector, solve_hermitian_psd
-from .qr import gram_logdet, householder_qr
+from .qr import _rank_of_r, householder_qr
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,58 @@ def _rank(mat: np.ndarray) -> int:
     m, n = mat.shape
     if m < n:
         mat = mat.T
-    return householder_qr(mat, pivot=True).rank_estimate
+    return householder_qr(mat).rank_estimate
 
 
 def _variance_tolerance(d: Dataset) -> float:
     return d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
+
+
+def _target_norm(d: Dataset, cv: CenteredView) -> float:
+    """||yc||; raises :class:`ZeroVariance` at or below the variance tolerance."""
+    ny = float(np.linalg.norm(cv.y_hat))
+    if ny <= _variance_tolerance(d):
+        raise ZeroVariance("target vector has zero sample variance at tolerance")
+    return ny
+
+
+def _centered_r(d: Dataset, cv: CenteredView) -> np.ndarray:
+    """The unpivoted triangular factor of (Xc|yc), with full rank of Xc checked.
+
+    Its leading n x n block is the factor of Xc, so the rank is decided on
+    Xc alone and the target column's entries stay plain values whatever the
+    scale of y.  Raises :class:`RankDeficient` when Xc is rank deficient.
+    """
+    m, n = d.m, d.n
+    if m < n + 1:
+        raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
+    r = householder_qr(np.column_stack([cv.x_hat, cv.y_hat])).r
+    if _rank_of_r(r[:n, :n], m) < n:
+        raise RankDeficient("centered sample matrix is rank deficient at tolerance")
+    return r
+
+
+def _correlation_from_r(r: np.ndarray) -> float:
+    """rho = ||r[:n, n]|| / ||r[:, n]||: the share of yc inside the span of Xc."""
+    return float(np.linalg.norm(r[:-1, -1]) / np.linalg.norm(r[:, -1]))
+
+
+def _require_full_design(d: Dataset, rank: int) -> None:
+    if rank < d.n + 1:
+        raise RankDeficient(
+            f"intercept-augmented matrix must have rank {d.n + 1}"
+        )
+
+
+def _solve_centered(cv: CenteredView) -> np.ndarray:
+    gram = cv.x_hat.T @ cv.x_hat
+    rhs = cv.x_hat.T @ cv.y_hat
+    try:
+        a1 = solve_hermitian_psd(gram, rhs)
+    except NotPositiveDefinite as exc:
+        raise RankDeficient(str(exc)) from exc
+    alpha0 = cv.y_mean - float(a1 @ cv.x_means)
+    return _frozen(np.concatenate([[alpha0], a1]))
 
 
 def normal_solve(d: Dataset) -> np.ndarray:
@@ -141,20 +188,8 @@ def normal_solve(d: Dataset) -> np.ndarray:
     recovers the intercept from the mean equation.  This is better
     conditioned than attacking the (n+1) x (n+1) system head on.
     """
-    m, n = d.m, d.n
-    if m < n + 1 or design_rank(d) < n + 1:
-        raise RankDeficient(
-            f"intercept-augmented matrix must have rank {n + 1}"
-        )
-    cv = center(d)
-    gram = cv.x_hat.T @ cv.x_hat
-    rhs = cv.x_hat.T @ cv.y_hat
-    try:
-        a1 = solve_hermitian_psd(gram, rhs)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(str(exc)) from exc
-    alpha0 = cv.y_mean - float(a1 @ cv.x_means)
-    return _frozen(np.concatenate([[alpha0], a1]))
+    _require_full_design(d, design_rank(d))
+    return _solve_centered(center(d))
 
 
 def loss_value_residual(d: Dataset, a) -> float:
@@ -170,20 +205,21 @@ def loss_value_residual(d: Dataset, a) -> float:
 def loss_value_det(d: Dataset) -> float:
     """Minimized loss value from centered Gram determinants, no solve.
 
-    sqrt(det((Xc|yc)' (Xc|yc)) / det(Xc' Xc)) as exp of a log-determinant
-    difference.  Raises :class:`RankDeficient` when the centered sample
-    matrix is not full rank.
+    sqrt(det((Xc|yc)' (Xc|yc)) / det(Xc' Xc)).  Both determinants are
+    products over the diagonal of one triangular factor R of (Xc|yc), so
+    the ratio is |r[n, n]|.  Raises :class:`RankDeficient` when the centered
+    sample matrix is not full rank.
     """
-    m, n = d.m, d.n
-    cv = center(d)
-    if m < n + 1:
-        raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    ld_x = gram_logdet(householder_qr(cv.x_hat, pivot=True))
-    if ld_x.is_zero:
-        raise RankDeficient("centered sample matrix is rank deficient at tolerance")
-    aug = np.column_stack([cv.x_hat, cv.y_hat])
-    ld_aug = gram_logdet(householder_qr(aug, pivot=True))
-    return math.exp((ld_aug.log_mag - ld_x.log_mag) / 2.0)
+    r = _centered_r(d, center(d))
+    return float(abs(r[d.n, d.n]))
+
+
+def _projection_correlation(d: Dataset, cv: CenteredView, ny: float, a: np.ndarray) -> float:
+    p_hat = cv.x_hat @ a[1:]
+    npn = float(np.linalg.norm(p_hat))
+    if npn <= _variance_tolerance(d):
+        raise ZeroProjection("projection of the centered target is zero at tolerance")
+    return float(cv.y_hat @ p_hat) / (npn * ny)
 
 
 def multiple_correlation_projection(d: Dataset) -> float:
@@ -193,40 +229,21 @@ def multiple_correlation_projection(d: Dataset) -> float:
     target is numerically zero.
     """
     cv = center(d)
-    tau = _variance_tolerance(d)
-    ny = float(np.linalg.norm(cv.y_hat))
-    if ny <= tau:
-        raise ZeroVariance("target vector has zero sample variance at tolerance")
-    a = normal_solve(d)
-    p_hat = cv.x_hat @ a[1:]
-    npn = float(np.linalg.norm(p_hat))
-    if npn <= tau:
-        raise ZeroProjection("projection of the centered target is zero at tolerance")
-    return float(cv.y_hat @ p_hat) / (npn * ny)
+    ny = _target_norm(d, cv)
+    return _projection_correlation(d, cv, ny, normal_solve(d))
 
 
 def multiple_correlation_det(d: Dataset) -> float:
     """Correlation from Gram determinants alone, no solve.
 
-    sqrt(1 - det((Xc|yc)' (Xc|yc)) / (det(Xc' Xc) * yc'yc)), with the
-    radicand clamped to [0, 1] against roundoff.
+    The paper's sqrt(1 - det((Xc|yc)' (Xc|yc)) / (det(Xc' Xc) * yc'yc)).
+    On the triangular factor R of (Xc|yc) the radicand is
+    1 - |r[n, n]|^2 / ||r[:, n]||^2 = ||r[:n, n]||^2 / ||r[:, n]||^2, so the
+    subtraction is exact and the value needs no clamp.
     """
-    m, n = d.m, d.n
     cv = center(d)
-    tau = _variance_tolerance(d)
-    ny = float(np.linalg.norm(cv.y_hat))
-    if ny <= tau:
-        raise ZeroVariance("target vector has zero sample variance at tolerance")
-    if m < n + 1:
-        raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    ld_x = gram_logdet(householder_qr(cv.x_hat, pivot=True))
-    if ld_x.is_zero:
-        raise RankDeficient("centered sample matrix is rank deficient at tolerance")
-    aug = np.column_stack([cv.x_hat, cv.y_hat])
-    ld_aug = gram_logdet(householder_qr(aug, pivot=True))
-    radicand = 1.0 - math.exp(ld_aug.log_mag - ld_x.log_mag - 2.0 * math.log(ny))
-    radicand = min(1.0, max(0.0, radicand))
-    return math.sqrt(radicand)
+    _target_norm(d, cv)
+    return _correlation_from_r(_centered_r(d, cv))
 
 
 def sample_covariance(d: Dataset) -> np.ndarray:
@@ -246,43 +263,48 @@ def mean_squared_loss(d: Dataset) -> float:
 
 
 def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = True) -> RegressionReport:
-    """Assemble the full report.
+    """Assemble the full report, running each step once.
 
     With solve=False only the determinant-route numbers are produced, which
     demonstrates that loss and correlation need no regression solve.  When
     the projection-route correlation is undefined (zero projection) while the
     determinant route gives 0, the discrepancy is recorded in flags.
     """
-    loss = loss_value_det(d)
-    rho_det = multiple_correlation_det(d)
+    cv = center(d)
+    r = _centered_r(d, cv)
+    loss = float(abs(r[d.n, d.n]))
+    ny = _target_norm(d, cv)
+    rho_det = _correlation_from_r(r)
     msl = loss * loss / (d.m - 1)
     methods = {
         "loss_value": "det_ratio",
         "correlation": "det_ratio",
         "mean_squared_loss": "det_ratio",
     }
+    rank = design_rank(d)
     rho_proj = None
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
+        _require_full_design(d, rank)
+        a = _solve_centered(cv)
         try:
-            rho_proj = multiple_correlation_projection(d)
+            rho_proj = _projection_correlation(d, cv, ny, a)
             methods["correlation_projection"] = "projection"
         except ZeroProjection:
             flags = (
                 "zero_projection: cosine form undefined, determinant form gives 0",
             )
         if coefficients:
-            coefs = normal_solve(d)
+            coefs = a
             methods["coefficients"] = "normal_equations"
-    rank_full = d.m >= d.n + 1 and design_rank(d) == d.n + 1
     return RegressionReport(
         loss_value=loss,
         correlation=rho_det,
         correlation_projection=rho_proj,
         mean_squared_loss=msl,
         coefficients=coefs,
-        rank_full=rank_full,
+        rank_full=rank == d.n + 1,
         methods=methods,
         flags=flags,
     )

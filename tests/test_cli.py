@@ -3,10 +3,15 @@ schema, exit codes, and determinism of the verification output."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gramdist
 from gramdist.cli import main
 
 SCHEMA_KEYS = {"command", "inputs", "results", "deviations", "exit_semantics"}
@@ -244,3 +249,16 @@ class TestNumberFormatting:
         # shortest round-trip decimals: parsing the text gives the exact double
         for key in ("loss_value", "correlation_det", "mean_squared_loss"):
             assert float(line_value(out_text, key)) == doc["results"][key]
+
+
+class TestDependencies:
+    def test_cli_import_leaves_scipy_out(self):
+        # numpy is the only runtime dependency; scipy alone would add about a
+        # third of a second and 27 MiB to every CLI process
+        src = str(Path(gramdist.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, gramdist.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

@@ -1,8 +1,8 @@
-"""Matrix core: validation, conjugate transpose, products, LU determinants
-in log form, and the hermitian positive-definite solve.
+"""Matrix core: validation, LU determinants in log form, and the hermitian
+positive-definite solve.
 
-Oracles live at the top and stay independent of the code paths they check:
-a triple-loop product and a recursive cofactor determinant.
+The oracle lives at the top and stays independent of the code paths it
+checks: a recursive cofactor determinant.
 """
 
 import math
@@ -21,25 +21,9 @@ from gramdist import (
     ShapeError,
     as_matrix,
     as_vector,
-    conj_transpose,
     det_lu,
-    matmul,
     solve_hermitian_psd,
 )
-
-
-def matmul_loops(a, b):
-    """Naive triple-loop product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.zeros((a.shape[0], b.shape[1]), np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0 + 0.0j
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def det_cofactor(a):
@@ -57,15 +41,6 @@ def det_cofactor(a):
 
 def _elements(lo=-5.0, hi=5.0):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def complex_matrices(draw, max_rows=4, max_cols=4, square=False):
-    m = draw(st.integers(1, max_rows))
-    n = m if square else draw(st.integers(1, max_cols))
-    re = draw(arrays(np.float64, (m, n), elements=_elements()))
-    im = draw(arrays(np.float64, (m, n), elements=_elements()))
-    return re + 1j * im
 
 
 @st.composite
@@ -107,40 +82,6 @@ class TestValidation:
 
     def test_int_input_becomes_float(self):
         assert as_matrix([[1, 2]]).dtype == np.float64
-
-
-class TestConjTranspose:
-    def test_pure_imaginary_entry(self):
-        out = conj_transpose([[1j]])
-        assert out[0, 0] == -1j
-
-    def test_real_matrix_is_plain_transpose(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(conj_transpose(m), m.T)
-
-    @given(complex_matrices(max_rows=3, max_cols=2))
-    def test_involution(self, m):
-        np.testing.assert_array_equal(conj_transpose(conj_transpose(m)), m)
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3) + 1.0
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_permutation_swap(self):
-        out = matmul([[0.0, 1.0], [1.0, 0.0]], [[3.0], [7.0]])
-        np.testing.assert_array_equal(out, [[7.0], [3.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(11)
-        a = rng.uniform(-1, 1, (2, 3)) + 1j * rng.uniform(-1, 1, (2, 3))
-        b = rng.uniform(-1, 1, (3, 2)) + 1j * rng.uniform(-1, 1, (3, 2))
-        np.testing.assert_allclose(matmul(a, b), matmul_loops(a, b), rtol=1e-14, atol=1e-14)
-
-    def test_inner_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestLogDet:
@@ -228,7 +169,7 @@ class TestDetLu:
         for _ in range(25):
             k = rng.integers(1, 7)
             m = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-            a = det_lu(conj_transpose(m))
+            a = det_lu(m.conj().T)
             b = det_lu(m).conjugate()
             ratio = a.phase * b.phase.conjugate() * math.exp(a.log_mag - b.log_mag)
             assert abs(ratio - 1) <= 1e-12
@@ -252,6 +193,12 @@ class TestSolveHermitianPsd:
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             solve_hermitian_psd(a.T @ a, [1.0, 1.0])
+
+    def test_pivot_at_tolerance_rejected(self):
+        # the factorization succeeds, but the second pivot 1e-20 is below
+        # dim * eps * max(diag)
+        with pytest.raises(NotPositiveDefinite):
+            solve_hermitian_psd([[1.0, 0.0], [0.0, 1e-20]], [1.0, 1.0])
 
     def test_not_square_and_mismatch(self):
         with pytest.raises(NotSquare):
@@ -278,7 +225,7 @@ class TestSolveHermitianPsd:
         for _ in range(20):
             k = rng.integers(1, 8)
             g = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-            gram = conj_transpose(g) @ np.asarray(g)
+            gram = g.conj().T @ g
             assert np.max(np.abs(gram - gram.conj().T)) <= 1e-14
             x = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
             assert np.vdot(x, gram @ x).real >= -1e-12

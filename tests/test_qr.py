@@ -1,9 +1,10 @@
-"""Householder QR: factorization quality, reflector application, rank
-estimates, and the Gram log-determinant read off the diagonal.
+"""Householder QR: the triangular factor against the Gram matrix and a
+Gram-Schmidt oracle, rank estimates, and the Gram log-determinant read off
+the diagonal.
 
 The independent oracle is classical Gram-Schmidt: it builds an orthonormal
-basis of the column space and the associated projector without touching the
-Householder code.
+basis of the column space, the associated projector and the residual norm
+of each column against the ones before it, without touching the QR code.
 """
 
 import math
@@ -12,46 +13,33 @@ import numpy as np
 import pytest
 
 from gramdist import (
-    DimensionMismatch,
     ShapeError,
-    apply_q,
-    apply_q_transpose,
-    conj_transpose,
     det_lu,
     gram_logdet,
     householder_qr,
 )
 
 
-def gram_schmidt_basis(a, tol=1e-12):
-    """Orthonormal basis of the column space by classical Gram-Schmidt."""
+def gram_schmidt(a, tol=1e-12):
+    """Orthonormal basis of the column space by classical Gram-Schmidt, and
+    the norm of each column's residual against the columns before it."""
     a = np.asarray(a, np.complex128)
     basis = []
+    residuals = []
     for j in range(a.shape[1]):
         v = a[:, j].copy()
         for q in basis:
             v -= q * np.vdot(q, a[:, j])
         nv = np.linalg.norm(v)
+        residuals.append(nv)
         if nv > tol * np.linalg.norm(a[:, j]):
             basis.append(v / nv)
-    return np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))
+    q = np.column_stack(basis) if basis else np.zeros((a.shape[0], 0))
+    return q, np.array(residuals)
 
 
 def projector(basis):
     return basis @ basis.conj().T
-
-
-def reconstruct(f):
-    """Q R with the column permutation undone."""
-    m = f.rows
-    n = f.r.shape[0]
-    r_full = np.vstack([f.r, np.zeros((m - n, n), np.complex128)])
-    cols = np.column_stack([apply_q(f, r_full[:, j]) for j in range(n)])
-    if f.col_perm is not None:
-        undone = np.empty_like(cols)
-        undone[:, f.col_perm] = cols
-        return undone
-    return cols
 
 
 def random_complex(rng, m, n):
@@ -60,12 +48,12 @@ def random_complex(rng, m, n):
 
 class TestHouseholderQr:
     def test_identity_is_its_own_r(self):
-        f = householder_qr(np.eye(3), pivot=False)
+        f = householder_qr(np.eye(3))
         np.testing.assert_allclose(np.abs(np.diag(f.r)), np.ones(3), atol=1e-15)
         assert f.rank_estimate == 3
 
     def test_single_column_norm(self):
-        f = householder_qr([[1.0], [1.0]], pivot=False)
+        f = householder_qr([[1.0], [1.0]])
         assert abs(abs(f.r[0, 0]) - math.sqrt(2)) < 1e-15
         assert f.rank_estimate == 1
 
@@ -73,95 +61,56 @@ class TestHouseholderQr:
         with pytest.raises(ShapeError):
             householder_qr(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("pivot", [False, True])
-    def test_reconstruction(self, pivot):
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_reconstruction(self, complex_input):
+        # R* R reconstructs the Gram matrix A* A, whatever Q was
         rng = np.random.default_rng(7)
         for _ in range(10):
-            a = random_complex(rng, 6, 3)
-            f = householder_qr(a, pivot=pivot)
-            err = np.linalg.norm(reconstruct(f) - a) / np.linalg.norm(a)
+            a = random_complex(rng, 6, 3) if complex_input else rng.uniform(-1, 1, (6, 3))
+            f = householder_qr(a)
+            assert f.r.shape == (3, 3)
+            assert np.iscomplexobj(f.r) == complex_input
+            np.testing.assert_array_equal(f.r, np.triu(f.r))
+            gram = a.conj().T @ a
+            err = np.linalg.norm(f.r.conj().T @ f.r - gram) / np.linalg.norm(gram)
             assert err <= 1e-12
 
     def test_column_space_matches_gram_schmidt(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             a = random_complex(rng, 6, 3)
-            f = householder_qr(a, pivot=False)
-            eye = np.eye(6, dtype=np.complex128)
-            q_cols = np.column_stack([apply_q(f, eye[:, i]) for i in range(3)])
+            f = householder_qr(a)
+            q_cols = np.linalg.solve(f.r.T, a.T).T  # A R^-1
             p_householder = projector(q_cols)
-            p_gs = projector(gram_schmidt_basis(a))
+            p_gs = projector(gram_schmidt(a)[0])
             assert np.max(np.abs(p_householder - p_gs)) <= 1e-10
 
-    def test_pivoted_diagonal_nonincreasing(self):
+    def test_diagonal_matches_gram_schmidt_residuals(self):
+        # unpivoted, |r_jj| is the distance of column j to the span of the
+        # columns before it
         rng = np.random.default_rng(19)
         for _ in range(10):
             a = random_complex(rng, 8, 5)
-            f = householder_qr(a, pivot=True)
-            d = np.abs(np.diag(f.r))
-            assert np.all(d[:-1] >= d[1:] - 1e-12)
+            f = householder_qr(a)
+            np.testing.assert_allclose(np.abs(np.diag(f.r)), gram_schmidt(a)[1], rtol=1e-12)
 
     def test_rank_estimate_detects_dependent_columns(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert householder_qr(a, pivot=True).rank_estimate == 1
+        assert householder_qr(a).rank_estimate == 1
         assert householder_qr(np.zeros((3, 2)) + 0.0).rank_estimate == 0
+        # the zero middle diagonal of the unpivoted factor is not a lost rank
+        b = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert householder_qr(b).rank_estimate == 2
 
     def test_rank_estimate_invariant_under_permutation(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             a = random_complex(rng, 7, 4)
             a[:, 2] = a[:, 0] * (0.5 - 0.25j)
-            base = householder_qr(a, pivot=True).rank_estimate
+            base = householder_qr(a).rank_estimate
+            assert base == 3
             perm = rng.permutation(4)
-            assert householder_qr(a[:, perm], pivot=True).rank_estimate == base
-
-
-class TestApplyQ:
-    def test_zero_maps_to_zero(self):
-        f = householder_qr(np.eye(3), pivot=False)
-        out = apply_q_transpose(f, np.zeros(3))
-        np.testing.assert_array_equal(out, np.zeros(3, np.complex128))
-
-    def test_column_maps_to_r_column(self):
-        rng = np.random.default_rng(29)
-        a = random_complex(rng, 5, 3)
-        f = householder_qr(a, pivot=False)
-        for j in range(3):
-            c = apply_q_transpose(f, a[:, j])
-            np.testing.assert_allclose(c[:3], f.r[:, j], atol=1e-12)
-            assert np.linalg.norm(c[3:]) <= 1e-12 * np.linalg.norm(a[:, j])
-
-    def test_column_maps_to_r_column_after_permutation(self):
-        rng = np.random.default_rng(30)
-        a = random_complex(rng, 6, 4)
-        f = householder_qr(a, pivot=True)
-        for j in range(4):
-            c = apply_q_transpose(f, a[:, f.col_perm[j]])
-            np.testing.assert_allclose(c[:4], f.r[:, j], atol=1e-12)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(31)
-        a = random_complex(rng, 6, 4)
-        f = householder_qr(a)
-        for _ in range(10):
-            v = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-            nv = np.linalg.norm(v)
-            assert abs(np.linalg.norm(apply_q_transpose(f, v)) - nv) <= 1e-12 * nv
-
-    def test_q_then_q_transpose_round_trip(self):
-        rng = np.random.default_rng(37)
-        a = random_complex(rng, 6, 4)
-        f = householder_qr(a)
-        v = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-        back = apply_q(f, apply_q_transpose(f, v))
-        np.testing.assert_allclose(back, v, atol=1e-13)
-
-    def test_length_mismatch(self):
-        f = householder_qr(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            apply_q_transpose(f, np.ones(4))
-        with pytest.raises(DimensionMismatch):
-            apply_q(f, np.ones(2))
+            assert householder_qr(a[:, perm]).rank_estimate == base
 
 
 class TestImmutability:
@@ -170,15 +119,12 @@ class TestImmutability:
         a = random_complex(rng, 5, 3)
         f = householder_qr(a)
         assert not f.r.flags.writeable
-        assert not f.col_perm.flags.writeable
-        assert all(not u.flags.writeable for u in f.reflectors)
 
     def test_input_is_not_mutated(self):
         rng = np.random.default_rng(53)
         a = random_complex(rng, 5, 3)
         snapshot = a.copy()
         householder_qr(a)
-        apply_q_transpose(householder_qr(a, pivot=False), a[:, 0])
         np.testing.assert_array_equal(a, snapshot)
 
 
@@ -203,7 +149,7 @@ class TestGramLogDet:
             n = int(rng.integers(1, min(m, 6) + 1))
             a = random_complex(rng, m, n)
             ld_qr = gram_logdet(householder_qr(a))
-            ld_lu = det_lu(conj_transpose(a) @ np.asarray(a))
+            ld_lu = det_lu(a.conj().T @ a)
             assert abs(math.expm1(ld_qr.log_mag - ld_lu.log_mag)) <= 1e-9
 
     def test_unitary_invariance(self):
@@ -212,9 +158,7 @@ class TestGramLogDet:
             m = int(rng.integers(2, 9))
             n = int(rng.integers(1, m))
             a = random_complex(rng, m, n)
-            fu = householder_qr(random_complex(rng, m, m), pivot=False)
-            eye = np.eye(m, dtype=np.complex128)
-            u = np.column_stack([apply_q(fu, eye[:, i]) for i in range(m)])
+            u = np.linalg.qr(random_complex(rng, m, m))[0]
             base = gram_logdet(householder_qr(a))
             moved = gram_logdet(householder_qr(u @ a))
             assert abs(math.expm1(moved.log_mag - base.log_mag)) <= 1e-9

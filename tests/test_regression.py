@@ -232,6 +232,17 @@ class TestCorrelation:
             ny2 = float(center(d).y_hat @ center(d).y_hat)
             assert abs(rho * rho + delta * delta / ny2 - 1.0) <= 1e-8
 
+    def test_tiny_target_scales_loss_and_keeps_correlation(self):
+        # the rank is decided on Xc alone, so a target far below the scale of
+        # X is still a value, not a column lost to the rank tolerance
+        rng = np.random.default_rng(31)
+        d = random_dataset(rng, 50, 2)
+        tiny = Dataset(d.x, d.y * 1e-14)
+        delta, rho = loss_value_det(d), multiple_correlation_det(d)
+        assert abs(loss_value_det(tiny) - 1e-14 * delta) <= 1e-12 * 1e-14 * delta
+        assert abs(multiple_correlation_det(tiny) - rho) <= 1e-12
+        assert abs(multiple_correlation_projection(tiny) - rho) <= 1e-8
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(19)
         d = random_dataset(rng, 15, 3)
@@ -311,6 +322,23 @@ class TestRegressionReport:
         rep = regression_report(line_fixture, solve=False)
         assert rep.correlation_projection is None
         assert rep.coefficients is None
+
+    def test_each_step_runs_once(self, line_fixture, monkeypatch):
+        # one factorization of (Xc|yc), one of (1|X) for the rank, one solve
+        import gramdist.regression as reg
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("householder_qr", "design_rank", "solve_hermitian_psd"):
+            monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
+        regression_report(line_fixture, coefficients=True)
+        assert sorted(calls) == ["design_rank", "householder_qr", "householder_qr", "solve_hermitian_psd"]
 
     def test_zero_projection_is_flagged(self):
         d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, -2.0, 1.0]))
