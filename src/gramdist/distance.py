@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import EPS, LogDet, _frozen, as_matrix, as_vector, det_lu, solve_hermitian_psd
-from .qr import gram_logdet, householder_qr
+from .linalg import LogDet, _frozen, as_matrix, as_vector, det_lu, solve_hermitian_psd
+from .qr import _rank_tolerance, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -135,15 +135,18 @@ def distance_qr(a, b) -> DistanceResult:
     column.  After the first n reflectors the tail of the transformed b is
     the residual; the final reflector collapses that tail into the single
     entry r[n, n], which is at once the (n+1)-th coordinate (m = n+1) and
-    the tail norm (m > n+1).  When A is rank deficient, a column whose
-    diagonal falls to tolerance adds no direction to the span, so the
-    b-column entry in its row is unmatched as well:
+    the tail norm (m > n+1).  When (A|b) has full rank at tolerance, so does
+    A (its singular values interlace those of (A|b)), and the distance is
+    |r[n, n]|.  Otherwise the column span of A is Q times the range of
+    R11 = r[:n, :n], and the part of r[:n, n] outside that range is
+    unmatched as well:
 
-        value^2 = |r[n, n]|^2  +  sum |r[k, n]|^2 over k < n
-                                   with |r[k, k]| at or below tolerance
+        value^2 = |r[n, n]|^2  +  ||U[:, k:]* r[:n, n]||^2
 
-    which by unitarity equals the true squared distance to the column span.
-    Requires m >= n + 1 rows.
+    where R11 = U S V* and k counts the singular values above
+    max(m, n) * eps * (largest column norm of R11), the rank tolerance of A.
+    By unitarity this is the squared distance to the column span, wherever
+    the dependent columns sit.  Requires m >= n + 1 rows.
     """
     mat = as_matrix(a)
     vec = as_vector(b)
@@ -152,12 +155,13 @@ def distance_qr(a, b) -> DistanceResult:
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
         )
     m, n = mat.shape
-    aug = augment(mat, vec)
-    f = householder_qr(aug)
-    tau = max(m, n + 1) * EPS * float(np.linalg.norm(aug))
-    unmatched = np.abs(np.diag(f.r)) <= tau
-    unmatched[n] = True
-    value = float(np.linalg.norm(f.r[unmatched, n]))
+    f = householder_qr(augment(mat, vec))
+    value = float(abs(f.r[n, n]))
+    if f.rank_estimate < n + 1:
+        r11 = f.r[:n, :n]
+        u, s, _ = np.linalg.svd(r11)
+        k = int(np.sum(s > _rank_tolerance(r11, m)))
+        value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ f.r[:n, n])))
     ld_a, ld_ab = gram_logdets(mat, vec)
     return DistanceResult(value, "qr_coordinate", ld_a, ld_ab)
 

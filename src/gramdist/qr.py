@@ -28,15 +28,18 @@ class QRFactors:
     rank_estimate: int
 
 
+def _rank_tolerance(r: np.ndarray, rows: int) -> float:
+    """max(m, n) * eps * (largest column norm) of A, from its factor R."""
+    return max(rows, r.shape[1]) * EPS * float(np.max(np.linalg.norm(r, axis=0)))
+
+
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
     """Numerical rank of A from its triangular factor and row count.
 
     R has the column norms and singular values of A, so the count is the same
     as on A itself, and it does not depend on the column order.
     """
-    n = r.shape[1]
-    tol = max(rows, n) * EPS * float(np.max(np.linalg.norm(r, axis=0)))
-    return int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+    return int(np.sum(np.linalg.svd(r, compute_uv=False) > _rank_tolerance(r, rows)))
 
 
 def householder_qr(a) -> QRFactors:

@@ -152,6 +152,15 @@ class TestDistanceQr:
             b = random_cvec(rng, 6)
             r = distance_qr(a, b)
             assert abs(r.value - span_distance(a, b)) <= 1e-10
+        # A dependent column before the last: the last column still has
+        # weight in its row of R, so that row is partly in the span.
+        for _ in range(10):
+            a = random_complex(rng, 6, 3)
+            b = random_cvec(rng, 6)
+            for middle in (0.0, 2.0 * a[:, 0]):
+                a[:, 1] = middle
+                r = distance_qr(a, b)
+                assert abs(r.value - span_distance(a, b)) <= 1e-10
 
 
 class TestDistanceProperties:
