@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .csvio import parse_csv
-from .distance import distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
+from .distance import _det_ratio, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
 from .errors import GramDistError, RankDeficient, ShapeError, ZeroVariance
 from .qr import gram_logdet, householder_qr
 from .regression import Dataset, regression_report
@@ -136,8 +136,11 @@ def _cmd_dist(args) -> int:
     b = bm[:, 0]
     code = EXIT_OK
     values = {}
+    # one pair of factorizations gives both the determinant-route distance
+    # and the log-determinants reported below
+    ld_a, ld_ab = gram_logdets(a, b)
     try:
-        values["distance_det"] = distance_det(a, b).value
+        values["distance_det"] = _det_ratio(ld_a, ld_ab)
     except RankDeficient:
         values["distance_det"] = None
         code = EXIT_RANK
@@ -152,7 +155,6 @@ def _cmd_dist(args) -> int:
         # a square matrix has no (n+1)-th row to triangularize into; the
         # other two routes still apply (distance 0 for full rank)
         values["distance_qr"] = None
-    ld_a, ld_ab = gram_logdets(a, b)
     results = dict(values)
     results["gram_logdet_a"] = ld_a.log_mag
     results["gram_logdet_ab"] = ld_ab.log_mag
@@ -216,7 +218,9 @@ def _cmd_regress(args) -> int:
         "correlation_det": rep.correlation,
         "correlation_projection": rep.correlation_projection,
         "mean_squared_loss": rep.mean_squared_loss,
-        "rank_full": rep.rank_full,
+        # a returned report always has full rank (rank-deficient data exits
+        # 2); the key stays because existing consumers of the output read it
+        "rank_full": True,
     }
     if rep.coefficients is not None:
         results["coefficients"] = [float(c) for c in rep.coefficients]

@@ -28,12 +28,10 @@ _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A distance value together with the two Gram log-determinants behind it."""
+    """A distance value and the route that produced it."""
 
     value: float
     method: str
-    gram_logdet_a: LogDet
-    gram_logdet_ab: LogDet
 
     def __post_init__(self):
         value = float(self.value)
@@ -44,15 +42,20 @@ class DistanceResult:
         object.__setattr__(self, "value", value)
 
 
-def augment(a, b) -> np.ndarray:
-    """The matrix A with b appended as its last column."""
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and b validated and copied, with b's length checked against A's rows."""
     mat = as_matrix(a)
     vec = as_vector(b)
     if vec.shape[0] != mat.shape[0]:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
         )
-    return _frozen(np.column_stack([mat, vec]))
+    return mat, vec
+
+
+def augment(a, b) -> np.ndarray:
+    """The matrix A with b appended as its last column."""
+    return _frozen(np.column_stack(_operands(a, b)))
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
@@ -65,12 +68,7 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     For a square A the augmented columns are necessarily dependent, so the
     augmented Gram determinant is exactly zero.
     """
-    mat = as_matrix(a)
-    vec = as_vector(b)
-    if vec.shape[0] != mat.shape[0]:
-        raise DimensionMismatch(
-            f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
-        )
+    mat, vec = _operands(a, b)
     m, n = mat.shape
     ld_a = gram_logdet(householder_qr(mat))
     if m >= n + 1:
@@ -80,20 +78,23 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     return ld_a, ld_ab
 
 
+def _det_ratio(ld_a: LogDet, ld_ab: LogDet) -> float:
+    """sqrt(det((A|b)* (A|b)) / det(A* A)) from the pair of :func:`gram_logdets`."""
+    if ld_a.is_zero:
+        raise RankDeficient(
+            "Gram determinant of the matrix is zero at tolerance; "
+            "the determinant ratio is undefined"
+        )
+    return math.exp((ld_ab.log_mag - ld_a.log_mag) / 2.0)
+
+
 def distance_det(a, b) -> DistanceResult:
     """Distance as exp of half the difference of the two Gram log-determinants.
 
     Raises :class:`RankDeficient` when the Gram determinant of A is zero at
     tolerance, where the quotient is undefined.
     """
-    ld_a, ld_ab = gram_logdets(a, b)
-    if ld_a.is_zero:
-        raise RankDeficient(
-            "Gram determinant of the matrix is zero at tolerance; "
-            "the determinant ratio is undefined"
-        )
-    value = math.exp((ld_ab.log_mag - ld_a.log_mag) / 2.0)
-    return DistanceResult(value, "det_ratio", ld_a, ld_ab)
+    return DistanceResult(_det_ratio(*gram_logdets(a, b)), "det_ratio")
 
 
 def distance_projection(a, b) -> DistanceResult:
@@ -104,28 +105,15 @@ def distance_projection(a, b) -> DistanceResult:
     sqrt(b*b - b*A (A*A)^-1 A*b), but evaluating the residual vector avoids
     the sqrt(eps)-level cancellation floor that the quadratic-form difference
     hits when b lies (nearly) in the column space.  A failed factorization is
-    reported as :class:`RankDeficient`.  The Gram log-determinants carried on
-    the result come from LU on the explicitly formed Gram matrices, which is
-    this route's natural bookkeeping.
+    reported as :class:`RankDeficient`.
     """
-    mat = as_matrix(a)
-    vec = as_vector(b)
-    if vec.shape[0] != mat.shape[0]:
-        raise DimensionMismatch(
-            f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
-        )
+    mat, vec = _operands(a, b)
     at = mat.conj().T
-    gram = at @ mat
-    rhs = at @ vec
     try:
-        x = solve_hermitian_psd(gram, rhs)
+        x = solve_hermitian_psd(at @ mat, at @ vec)
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
-    value = float(np.linalg.norm(vec - mat @ x))
-    aug = augment(mat, vec)
-    ld_a = det_lu(gram)
-    ld_ab = det_lu(aug.conj().T @ aug)
-    return DistanceResult(value, "projection", ld_a, ld_ab)
+    return DistanceResult(float(np.linalg.norm(vec - mat @ x)), "projection")
 
 
 def distance_qr(a, b) -> DistanceResult:
@@ -148,22 +136,16 @@ def distance_qr(a, b) -> DistanceResult:
     By unitarity this is the squared distance to the column span, wherever
     the dependent columns sit.  Requires m >= n + 1 rows.
     """
-    mat = as_matrix(a)
-    vec = as_vector(b)
-    if vec.shape[0] != mat.shape[0]:
-        raise DimensionMismatch(
-            f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
-        )
-    m, n = mat.shape
-    f = householder_qr(augment(mat, vec))
+    aug = augment(a, b)
+    m, n = aug.shape[0], aug.shape[1] - 1
+    f = householder_qr(aug)
     value = float(abs(f.r[n, n]))
     if f.rank_estimate < n + 1:
         r11 = f.r[:n, :n]
         u, s, _ = np.linalg.svd(r11)
         k = int(np.sum(s > _rank_tolerance(r11, m)))
         value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ f.r[:n, n])))
-    ld_a, ld_ab = gram_logdets(mat, vec)
-    return DistanceResult(value, "qr_coordinate", ld_a, ld_ab)
+    return DistanceResult(value, "qr_coordinate")
 
 
 def _minor_logdets(mat: np.ndarray) -> list[LogDet]:

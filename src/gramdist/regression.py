@@ -92,7 +92,6 @@ class RegressionReport:
     correlation_projection: float | None
     mean_squared_loss: float
     coefficients: np.ndarray | None
-    rank_full: bool
     methods: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
@@ -163,13 +162,6 @@ def _correlation_from_r(r: np.ndarray) -> float:
     return float(np.linalg.norm(r[:-1, -1]) / np.linalg.norm(r[:, -1]))
 
 
-def _require_full_design(d: Dataset, rank: int) -> None:
-    if rank < d.n + 1:
-        raise RankDeficient(
-            f"intercept-augmented matrix must have rank {d.n + 1}"
-        )
-
-
 def _solve_centered(cv: CenteredView) -> np.ndarray:
     gram = cv.x_hat.T @ cv.x_hat
     rhs = cv.x_hat.T @ cv.y_hat
@@ -186,9 +178,10 @@ def normal_solve(d: Dataset) -> np.ndarray:
 
     Solves the n x n centered normal equations for the slope part, then
     recovers the intercept from the mean equation.  This is better
-    conditioned than attacking the (n+1) x (n+1) system head on.
+    conditioned than attacking the (n+1) x (n+1) system head on.  Raises
+    :class:`RankDeficient` when the Cholesky factorization of Xc' Xc fails
+    its pivot check.
     """
-    _require_full_design(d, design_rank(d))
     return _solve_centered(center(d))
 
 
@@ -268,7 +261,9 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
     With solve=False only the determinant-route numbers are produced, which
     demonstrates that loss and correlation need no regression solve.  When
     the projection-route correlation is undefined (zero projection) while the
-    determinant route gives 0, the discrepancy is recorded in flags.
+    determinant route gives 0, the discrepancy is recorded in flags.  The
+    rank is decided once, on the centered sample matrix; the solve keeps the
+    Cholesky pivot check of :func:`normal_solve`.
     """
     cv = center(d)
     r = _centered_r(d, cv)
@@ -281,12 +276,10 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
         "correlation": "det_ratio",
         "mean_squared_loss": "det_ratio",
     }
-    rank = design_rank(d)
     rho_proj = None
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
-        _require_full_design(d, rank)
         a = _solve_centered(cv)
         try:
             rho_proj = _projection_correlation(d, cv, ny, a)
@@ -304,7 +297,6 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
         correlation_projection=rho_proj,
         mean_squared_loss=msl,
         coefficients=coefs,
-        rank_full=rank == d.n + 1,
         methods=methods,
         flags=flags,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import augment, distance_det, distance_projection, distance_qr, minor_sum, orthogonal_minor_vector
+from .distance import augment, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
 from .linalg import det_lu, solve_hermitian_psd
 from .qr import gram_logdet, householder_qr
 from .regression import (
@@ -84,8 +84,10 @@ def _random_dataset(rng: SplitMix64, max_m: int = 40, max_n: int = 8) -> Dataset
 def _check_distance_product(rng: SplitMix64, t: int, tol: float):
     """dist_qr * sqrt(det(A*A)) == sqrt(det((A|b)*(A|b))), in log domain.
 
-    Every fifth trial degrades A to rank deficiency, where both sides must
-    vanish at the Hadamard scale ||A|b||_F^(n+1).
+    The determinants come from :func:`gram_logdets`, whose factors of A and
+    (b|A) are independent of the factor of (A|b) behind the distance.  Every
+    fifth trial degrades A to rank deficiency, where both sides must vanish
+    at the Hadamard scale ||A|b||_F^(n+1).
     """
     m = rng.randint(2, 12)
     n = rng.randint(1, m - 1)
@@ -93,12 +95,12 @@ def _check_distance_product(rng: SplitMix64, t: int, tol: float):
     if t % 5 == 4:
         a = _degrade_rank(rng, a)
     b = rng.complex_vector(m)
-    res = distance_qr(a, b)
-    ld_a, ld_ab = res.gram_logdet_a, res.gram_logdet_ab
-    if not ld_a.is_zero and not ld_ab.is_zero and res.value > 0.0:
-        dev = abs(math.expm1(math.log(res.value) + ld_a.log_mag / 2.0 - ld_ab.log_mag / 2.0))
+    value = distance_qr(a, b).value
+    ld_a, ld_ab = gram_logdets(a, b)
+    if not ld_a.is_zero and not ld_ab.is_zero and value > 0.0:
+        dev = abs(math.expm1(math.log(value) + ld_a.log_mag / 2.0 - ld_ab.log_mag / 2.0))
     else:
-        lhs = 0.0 if ld_a.is_zero else res.value * math.exp(ld_a.log_mag / 2.0)
+        lhs = 0.0 if ld_a.is_zero else value * math.exp(ld_a.log_mag / 2.0)
         rhs = 0.0 if ld_ab.is_zero else math.exp(ld_ab.log_mag / 2.0)
         scale = max(float(np.linalg.norm(augment(a, b))) ** (n + 1), TINY)
         dev = abs(lhs - rhs) / scale

@@ -181,6 +181,28 @@ class TestRegress:
         code, _ = run(capsys, ["regress", "--data", d, "--target", "y"])
         assert code == 2
 
+    def test_rank_decided_on_centered_data(self, capsys, tmp_path):
+        # (1|X) at a 1e8 offset looks rank deficient to a QR rank test, the
+        # centered X does not; a duplicated column is refused in both modes
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((200, 3)) + 1e8
+        y = 1.5 + x @ np.array([0.5, -2.0, 1.0]) + rng.standard_normal(200)
+        xd = x.copy()
+        xd[:, 2] = xd[:, 0]
+        for name, data in (("offset", x), ("dup", xd)):
+            rows = "\n".join(",".join(map(repr, r)) for r in np.column_stack([data, y]).tolist())
+            write(tmp_path, f"{name}.csv", "x1,x2,x3,y\n" + rows + "\n")
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        _, (ss,), *_ = np.linalg.lstsq(xc, yc, rcond=None)
+        for flag in ("--coefficients", "--no-solve"):
+            argv = ["regress", "--target", "y", flag, "--format", "json"]
+            code, out = run(capsys, argv + ["--data", str(tmp_path / "offset.csv")])
+            assert code == 0
+            loss = json.loads(out)["results"]["loss_value"]
+            assert abs(loss - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
+            code, _ = run(capsys, argv + ["--data", str(tmp_path / "dup.csv")])
+            assert code == 2
+
     def test_unknown_target(self, capsys, regress_file):
         code, _ = run(capsys, ["regress", "--data", regress_file, "--target", "zzz"])
         assert code == 1

@@ -88,8 +88,9 @@ class TestDistanceDet:
         # Gram determinants 2 and 4, distance sqrt(2)
         r = distance_det([[1.0], [1.0]], [0.0, 2.0])
         assert abs(r.value - SQRT2) <= 1e-12
-        assert abs(r.gram_logdet_a.log_mag - math.log(2.0)) <= 1e-12
-        assert abs(r.gram_logdet_ab.log_mag - math.log(4.0)) <= 1e-12
+        ld_a, ld_ab = gram_logdets([[1.0], [1.0]], [0.0, 2.0])
+        assert abs(ld_a.log_mag - math.log(2.0)) <= 1e-12
+        assert abs(ld_ab.log_mag - math.log(4.0)) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
@@ -166,6 +167,7 @@ class TestDistanceQr:
 class TestDistanceProperties:
     def test_product_identity_including_rank_deficient(self):
         rng = np.random.default_rng(11)
+        in_log_form = 0
         for trial in range(50):
             m = int(rng.integers(2, 13))
             n = int(rng.integers(1, m))
@@ -176,16 +178,20 @@ class TestDistanceProperties:
                 else:
                     a[:, n - 1] = a[:, 0] * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             b = random_cvec(rng, m)
-            res = distance_qr(a, b)
-            la, lab = res.gram_logdet_a, res.gram_logdet_ab
-            if not la.is_zero and not lab.is_zero and res.value > 0:
-                dev = abs(math.expm1(math.log(res.value) + la.log_mag / 2 - lab.log_mag / 2))
+            value = distance_qr(a, b).value
+            la, lab = gram_logdets(a, b)
+            if not la.is_zero and not lab.is_zero and value > 0:
+                dev = abs(math.expm1(math.log(value) + la.log_mag / 2 - lab.log_mag / 2))
                 assert dev <= 1e-9
+                in_log_form += 1
             else:
-                lhs = 0.0 if la.is_zero else res.value * math.exp(la.log_mag / 2)
+                assert trial % 5 == 4
+                lhs = 0.0 if la.is_zero else value * math.exp(la.log_mag / 2)
                 rhs = 0.0 if lab.is_zero else math.exp(lab.log_mag / 2)
                 scale = float(np.linalg.norm(augment(a, b))) ** (n + 1)
                 assert abs(lhs - rhs) <= 1e-9 * scale
+        # every full-rank trial compares nonzero determinants
+        assert in_log_form == 40
 
     def test_three_methods_agree(self):
         rng = np.random.default_rng(13)
@@ -226,18 +232,61 @@ class TestDistanceProperties:
                 assert fn(a, b).value <= nb * (1 + 1e-12)
 
     def test_hadamard_style_bound_on_results(self):
+        # det((A|b)*(A|b)) <= det(A*A) ||b||^2, and each route's distance
+        # times sqrt(det(A*A)) stays under the same bound
         rng = np.random.default_rng(23)
         for _ in range(20):
             m = int(rng.integers(2, 10))
             n = int(rng.integers(1, m))
             a = random_complex(rng, m, n)
             b = random_cvec(rng, m)
+            ld_a, ld_ab = gram_logdets(a, b)
+            assert not ld_a.is_zero and not ld_ab.is_zero
+            bound = ld_a.log_mag + 2 * math.log(np.linalg.norm(b)) + 1e-9
+            assert ld_ab.log_mag <= bound
             for fn in (distance_det, distance_projection, distance_qr):
-                r = fn(a, b)
-                if r.gram_logdet_ab.is_zero or r.gram_logdet_a.is_zero:
-                    continue
-                bound = r.gram_logdet_a.log_mag + 2 * math.log(np.linalg.norm(b)) + 1e-9
-                assert r.gram_logdet_ab.log_mag <= bound
+                assert ld_a.log_mag + 2 * math.log(fn(a, b).value) <= bound
+
+    def test_each_route_factors_once(self, monkeypatch, tmp_path):
+        import gramdist.cli
+        import gramdist.distance
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (gramdist.distance, gramdist.cli):
+            for name in ("householder_qr", "det_lu"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        rng = np.random.default_rng(43)
+        a = random_complex(rng, 9, 4)
+        b = random_cvec(rng, 9)
+        for fn, expected in (
+            (distance_det, ["householder_qr"] * 2),
+            (distance_qr, ["householder_qr"]),
+            (distance_projection, []),
+        ):
+            calls.clear()
+            fn(a, b)
+            assert calls == expected, fn.__name__
+
+        def cell(z):
+            z = complex(z)
+            return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+        (tmp_path / "a.csv").write_text(
+            "c1,c2,c3,c4\n" + "".join(",".join(map(cell, row)) + "\n" for row in a)
+        )
+        (tmp_path / "b.csv").write_text("v\n" + "".join(cell(z) + "\n" for z in b))
+        calls.clear()
+        argv = ["dist", "--matrix", str(tmp_path / "a.csv"), "--vector", str(tmp_path / "b.csv")]
+        assert gramdist.cli.main(argv) == 0
+        assert calls == ["householder_qr"] * 3
 
     def test_gram_logdets_square_matrix_augments_to_zero(self):
         rng = np.random.default_rng(29)

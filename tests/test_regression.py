@@ -49,6 +49,15 @@ def random_dataset(rng, m, n):
     return Dataset(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
 
 
+def offset_dataset(offset=1e8):
+    """200 x 3 Gaussian regressors shifted by offset: well conditioned once
+    centered, while (1|X) has a tiny singular value relative to its scale."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((200, 3)) + offset
+    y = 1.5 + x @ np.array([0.5, -2.0, 1.0]) + rng.standard_normal(200)
+    return Dataset(x, y)
+
+
 class TestDataset:
     def test_default_names(self, line_fixture):
         assert line_fixture.names == ("x1", "y")
@@ -314,7 +323,6 @@ class TestRegressionReport:
         assert abs(rep.correlation_projection - SQRT_09) <= 1e-10
         assert abs(rep.mean_squared_loss - 0.2 / 3.0) <= 1e-10
         np.testing.assert_allclose(rep.coefficients, [0.5, 0.6], atol=1e-12)
-        assert rep.rank_full
         assert rep.flags == ()
         assert rep.methods["loss_value"] == "det_ratio"
 
@@ -324,7 +332,7 @@ class TestRegressionReport:
         assert rep.coefficients is None
 
     def test_each_step_runs_once(self, line_fixture, monkeypatch):
-        # one factorization of (Xc|yc), one of (1|X) for the rank, one solve
+        # one factorization of (Xc|yc), which also decides the rank, one solve
         import gramdist.regression as reg
 
         calls = []
@@ -338,7 +346,29 @@ class TestRegressionReport:
         for name in ("householder_qr", "design_rank", "solve_hermitian_psd"):
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
         regression_report(line_fixture, coefficients=True)
-        assert sorted(calls) == ["design_rank", "householder_qr", "householder_qr", "solve_hermitian_psd"]
+        assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
+
+    def test_large_offset_is_full_rank(self):
+        # Centered, the regressors are plain Gaussians; the rank test on the
+        # uncentered (1|X) would call them dependent at this offset.
+        d = offset_dataset()
+        xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
+        slopes, (ss,), *_ = np.linalg.lstsq(xc, yc, rcond=None)
+        for kwargs in ({"coefficients": True}, {"solve": False}):
+            rep = regression_report(d, **kwargs)
+            assert abs(rep.loss_value - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
+        rep = regression_report(d, coefficients=True)
+        np.testing.assert_allclose(rep.coefficients[1:], slopes, rtol=1e-9)
+        assert abs(rep.correlation - rep.correlation_projection) <= 1e-12
+
+    def test_duplicated_column_rejected_with_and_without_solve(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 3))
+        x[:, 2] = x[:, 0]
+        d = Dataset(x, rng.standard_normal(50))
+        for kwargs in ({"coefficients": True}, {"solve": False}):
+            with pytest.raises(RankDeficient):
+                regression_report(d, **kwargs)
 
     def test_zero_projection_is_flagged(self):
         d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, -2.0, 1.0]))
