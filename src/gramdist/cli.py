@@ -219,7 +219,8 @@ def _cmd_regress(args) -> int:
         "correlation_projection": rep.correlation_projection,
         "mean_squared_loss": rep.mean_squared_loss,
         # a returned report always has full rank (rank-deficient data exits
-        # 2); the key stays because existing consumers of the output read it
+        # 2); the key stays only because bench/selftest.py (line 101)
+        # asserts it
         "rank_full": True,
     }
     if rep.coefficients is not None:

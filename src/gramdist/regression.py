@@ -146,13 +146,22 @@ def _centered_r(d: Dataset, cv: CenteredView) -> np.ndarray:
 
     Its leading n x n block is the factor of Xc, so the rank is decided on
     Xc alone and the target column's entries stay plain values whatever the
-    scale of y.  Raises :class:`RankDeficient` when Xc is rank deficient.
+    scale of y.  Raises :class:`RankDeficient` when Xc is rank deficient at
+    its own tolerance, or when it is only full rank by its centering
+    residue (see below).
     """
     m, n = d.m, d.n
     if m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
     r = householder_qr(np.column_stack([cv.x_hat, cv.y_hat])).r
-    if _rank_of_r(r[:n, :n], m) < n:
+    r11 = r[:n, :n]
+    # Subtracting the means leaves up to about eps * ||x_j|| of rounding in
+    # column j of Xc: three samples of 0.1 center to a nonzero 1e-17.  With
+    # each column divided by ||x_j|| (r11 divided the same way is its
+    # factor), a singular value at or below m * eps is that rounding.
+    if _rank_of_r(r11, m) < n or int(np.sum(
+        np.linalg.svd(r11 / np.linalg.norm(d.x, axis=0), compute_uv=False) > m * EPS
+    )) < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     return r
 
@@ -179,10 +188,12 @@ def normal_solve(d: Dataset) -> np.ndarray:
     Solves the n x n centered normal equations for the slope part, then
     recovers the intercept from the mean equation.  This is better
     conditioned than attacking the (n+1) x (n+1) system head on.  Raises
-    :class:`RankDeficient` when the Cholesky factorization of Xc' Xc fails
-    its pivot check.
+    :class:`RankDeficient` when Xc fails the rank test of the regression
+    report, or the Cholesky factorization of Xc' Xc fails its pivot check.
     """
-    return _solve_centered(center(d))
+    cv = center(d)
+    _centered_r(d, cv)
+    return _solve_centered(cv)
 
 
 def loss_value_residual(d: Dataset, a) -> float:

@@ -181,6 +181,13 @@ class TestRegress:
         code, _ = run(capsys, ["regress", "--data", d, "--target", "y"])
         assert code == 2
 
+    def test_constant_column_with_inexact_mean_exits_2(self, capsys, tmp_path):
+        # the mean of 0.1 rounds up, so Xc is a nonzero residue, not zero
+        d = write(tmp_path, "c.csv", "x,y\n0.1,1\n0.1,2\n0.1,4\n")
+        for flags in ([], ["--coefficients"], ["--no-solve"]):
+            code, _ = run(capsys, ["regress", "--data", d, "--target", "y"] + flags)
+            assert code == 2
+
     def test_rank_decided_on_centered_data(self, capsys, tmp_path):
         # (1|X) at a 1e8 offset looks rank deficient to a QR rank test, the
         # centered X does not; a duplicated column is refused in both modes

@@ -58,6 +58,19 @@ def offset_dataset(offset=1e8):
     return Dataset(x, y)
 
 
+def centering_residue_datasets():
+    """Regressors that are constant, or dependent through the intercept, but
+    whose centered columns keep a rounding residue far above a tolerance
+    relative to Xc itself: 0.1 has a mean that rounds to 0.10000000000000002,
+    and x + 0.1 at a 1e8 offset centers to x plus about 3e-7."""
+    rng = np.random.default_rng(1)
+    x1 = rng.standard_normal(200) + 1e8
+    return (
+        Dataset(np.full((3, 1), 0.1), np.array([1.0, 2.0, 4.0])),
+        Dataset(np.column_stack([x1, x1 + 0.1]), rng.standard_normal(200)),
+    )
+
+
 class TestDataset:
     def test_default_names(self, line_fixture):
         assert line_fixture.names == ("x1", "y")
@@ -122,6 +135,11 @@ class TestNormalSolve:
     def test_too_few_samples_rejected(self):
         with pytest.raises(RankDeficient):
             normal_solve(Dataset(np.ones((1, 1)), np.ones(1)))
+
+    def test_constant_column_with_inexact_mean_rejected(self):
+        for d in centering_residue_datasets():
+            with pytest.raises(RankDeficient):
+                normal_solve(d)
 
     def test_mean_equation(self):
         rng = np.random.default_rng(5)
@@ -369,6 +387,23 @@ class TestRegressionReport:
         for kwargs in ({"coefficients": True}, {"solve": False}):
             with pytest.raises(RankDeficient):
                 regression_report(d, **kwargs)
+
+    def test_small_column_beside_large_offset_is_full_rank(self):
+        # the centering residue is judged per column: a floor set by the
+        # largest column of X would refuse the 1e-6 column here
+        rng = np.random.default_rng(2)
+        x = np.column_stack([rng.standard_normal(200) + 1e8, 1e-6 * rng.standard_normal(200)])
+        d = Dataset(x, x @ np.array([1.0, 1e6]) + rng.standard_normal(200))
+        _, (ss,), *_ = np.linalg.lstsq(x - x.mean(axis=0), d.y - d.y.mean(), rcond=None)
+        for kwargs in ({"coefficients": True}, {"solve": False}):
+            rep = regression_report(d, **kwargs)
+            assert abs(rep.loss_value - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
+
+    def test_centering_residue_rejected_with_and_without_solve(self):
+        for d in centering_residue_datasets():
+            for kwargs in ({"coefficients": True}, {"solve": False}):
+                with pytest.raises(RankDeficient):
+                    regression_report(d, **kwargs)
 
     def test_zero_projection_is_flagged(self):
         d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, -2.0, 1.0]))
