@@ -36,10 +36,6 @@ class ZeroProjection(GramDistError):
     """The projection of the centered target onto the regressors is numerically zero."""
 
 
-class InsufficientSamples(GramDistError):
-    """At least two samples are required."""
-
-
 class CsvError(GramDistError):
     """Base class for CSV ingestion failures."""
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InsufficientSamples,
     NotPositiveDefinite,
     RankDeficient,
     ZeroProjection,
@@ -69,16 +68,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class CenteredView:
-    """Column-centered copies of the sample matrix and target."""
-
-    x_hat: np.ndarray
-    y_hat: np.ndarray
-    x_means: np.ndarray
-    y_mean: float
-
-
-@dataclass(frozen=True)
 class RegressionReport:
     """Everything the regress front end emits in one bundle.
 
@@ -96,16 +85,9 @@ class RegressionReport:
     flags: tuple[str, ...] = ()
 
 
-def center(d: Dataset) -> CenteredView:
-    """Subtract each column's arithmetic mean."""
-    x_means = d.x.mean(axis=0)
-    y_mean = float(d.y.mean())
-    return CenteredView(
-        x_hat=_frozen(d.x - x_means),
-        y_hat=_frozen(d.y - y_mean),
-        x_means=_frozen(x_means),
-        y_mean=y_mean,
-    )
+def _centered(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(Xc, yc): the sample matrix and target less their column means."""
+    return d.x - d.x.mean(axis=0), d.y - float(d.y.mean())
 
 
 def _design(d: Dataset) -> np.ndarray:
@@ -118,8 +100,15 @@ def design_rank(d: Dataset) -> int:
 
 
 def centered_rank(d: Dataset) -> int:
-    """QR rank estimate of the centered sample matrix."""
-    return _rank(center(d).x_hat)
+    """Rank of the centered sample matrix by the rule of the regression report.
+
+    With fewer samples than regressors, Xc is padded with zero rows, which
+    changes neither its singular values nor its column norms.
+    """
+    xc, _ = _centered(d)
+    if d.m < d.n:
+        xc = np.vstack([xc, np.zeros((d.n - d.m, d.n))])
+    return _centered_rank_of_r(householder_qr(xc).r, d)
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -133,35 +122,43 @@ def _variance_tolerance(d: Dataset) -> float:
     return d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
 
 
-def _target_norm(d: Dataset, cv: CenteredView) -> float:
+def _target_norm(d: Dataset, yc: np.ndarray) -> float:
     """||yc||; raises :class:`ZeroVariance` at or below the variance tolerance."""
-    ny = float(np.linalg.norm(cv.y_hat))
+    ny = float(np.linalg.norm(yc))
     if ny <= _variance_tolerance(d):
         raise ZeroVariance("target vector has zero sample variance at tolerance")
     return ny
 
 
-def _centered_r(d: Dataset, cv: CenteredView) -> np.ndarray:
+def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
+    """Rank of Xc from a triangular factor with its singular values and
+    column norms: the smaller of two counts.
+
+    The first counts at Xc's own tolerance.  The second catches the rounding
+    that centering leaves, up to about eps * ||x_j|| in column j of Xc: three
+    samples of 0.1 center to a nonzero 1e-17.  With each column divided by
+    the uncentered ||x_j|| (r divided the same way is its factor), a
+    singular value at or below m * eps is that rounding.
+    """
+    norms = np.linalg.norm(d.x, axis=0)
+    scaled = r / np.where(norms > 0.0, norms, 1.0)
+    residue_free = int(np.sum(np.linalg.svd(scaled, compute_uv=False) > d.m * EPS))
+    return min(_rank_of_r(r, d.m), residue_free)
+
+
+def _centered_r(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     """The unpivoted triangular factor of (Xc|yc), with full rank of Xc checked.
 
     Its leading n x n block is the factor of Xc, so the rank is decided on
-    Xc alone and the target column's entries stay plain values whatever the
-    scale of y.  Raises :class:`RankDeficient` when Xc is rank deficient at
-    its own tolerance, or when it is only full rank by its centering
-    residue (see below).
+    Xc alone, by :func:`_centered_rank_of_r`, and the target column's
+    entries stay plain values whatever the scale of y.  Raises
+    :class:`RankDeficient` when that rank is below n.
     """
-    m, n = d.m, d.n
-    if m < n + 1:
+    n = d.n
+    if d.m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    r = householder_qr(np.column_stack([cv.x_hat, cv.y_hat])).r
-    r11 = r[:n, :n]
-    # Subtracting the means leaves up to about eps * ||x_j|| of rounding in
-    # column j of Xc: three samples of 0.1 center to a nonzero 1e-17.  With
-    # each column divided by ||x_j|| (r11 divided the same way is its
-    # factor), a singular value at or below m * eps is that rounding.
-    if _rank_of_r(r11, m) < n or int(np.sum(
-        np.linalg.svd(r11 / np.linalg.norm(d.x, axis=0), compute_uv=False) > m * EPS
-    )) < n:
+    r = householder_qr(np.column_stack([xc, yc])).r
+    if _centered_rank_of_r(r[:n, :n], d) < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     return r
 
@@ -171,14 +168,14 @@ def _correlation_from_r(r: np.ndarray) -> float:
     return float(np.linalg.norm(r[:-1, -1]) / np.linalg.norm(r[:, -1]))
 
 
-def _solve_centered(cv: CenteredView) -> np.ndarray:
-    gram = cv.x_hat.T @ cv.x_hat
-    rhs = cv.x_hat.T @ cv.y_hat
+def _solve_centered(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    gram = xc.T @ xc
+    rhs = xc.T @ yc
     try:
         a1 = solve_hermitian_psd(gram, rhs)
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
-    alpha0 = cv.y_mean - float(a1 @ cv.x_means)
+    alpha0 = float(d.y.mean()) - float(a1 @ d.x.mean(axis=0))
     return _frozen(np.concatenate([[alpha0], a1]))
 
 
@@ -191,9 +188,9 @@ def normal_solve(d: Dataset) -> np.ndarray:
     :class:`RankDeficient` when Xc fails the rank test of the regression
     report, or the Cholesky factorization of Xc' Xc fails its pivot check.
     """
-    cv = center(d)
-    _centered_r(d, cv)
-    return _solve_centered(cv)
+    xc, yc = _centered(d)
+    _centered_r(d, xc, yc)
+    return _solve_centered(d, xc, yc)
 
 
 def loss_value_residual(d: Dataset, a) -> float:
@@ -214,16 +211,16 @@ def loss_value_det(d: Dataset) -> float:
     the ratio is |r[n, n]|.  Raises :class:`RankDeficient` when the centered
     sample matrix is not full rank.
     """
-    r = _centered_r(d, center(d))
+    r = _centered_r(d, *_centered(d))
     return float(abs(r[d.n, d.n]))
 
 
-def _projection_correlation(d: Dataset, cv: CenteredView, ny: float, a: np.ndarray) -> float:
-    p_hat = cv.x_hat @ a[1:]
+def _projection_correlation(d: Dataset, xc: np.ndarray, yc: np.ndarray, ny: float, a: np.ndarray) -> float:
+    p_hat = xc @ a[1:]
     npn = float(np.linalg.norm(p_hat))
     if npn <= _variance_tolerance(d):
         raise ZeroProjection("projection of the centered target is zero at tolerance")
-    return float(cv.y_hat @ p_hat) / (npn * ny)
+    return float(yc @ p_hat) / (npn * ny)
 
 
 def multiple_correlation_projection(d: Dataset) -> float:
@@ -232,9 +229,9 @@ def multiple_correlation_projection(d: Dataset) -> float:
     Needs the regression solve; undefined (ZeroProjection) when the projected
     target is numerically zero.
     """
-    cv = center(d)
-    ny = _target_norm(d, cv)
-    return _projection_correlation(d, cv, ny, normal_solve(d))
+    xc, yc = _centered(d)
+    ny = _target_norm(d, yc)
+    return _projection_correlation(d, xc, yc, ny, normal_solve(d))
 
 
 def multiple_correlation_det(d: Dataset) -> float:
@@ -245,23 +242,13 @@ def multiple_correlation_det(d: Dataset) -> float:
     1 - |r[n, n]|^2 / ||r[:, n]||^2 = ||r[:n, n]||^2 / ||r[:, n]||^2, so the
     subtraction is exact and the value needs no clamp.
     """
-    cv = center(d)
-    _target_norm(d, cv)
-    return _correlation_from_r(_centered_r(d, cv))
-
-
-def sample_covariance(d: Dataset) -> np.ndarray:
-    """The n x n matrix Xc' Xc / (m - 1); symmetric positive semidefinite."""
-    if d.m < 2:
-        raise InsufficientSamples("covariance needs at least two samples")
-    xc = center(d).x_hat
-    return _frozen((xc.T @ xc) / (d.m - 1))
+    xc, yc = _centered(d)
+    _target_norm(d, yc)
+    return _correlation_from_r(_centered_r(d, xc, yc))
 
 
 def mean_squared_loss(d: Dataset) -> float:
     """loss_value_det squared over (m - 1)."""
-    if d.m < 2:
-        raise InsufficientSamples("mean squared loss needs at least two samples")
     v = loss_value_det(d)
     return v * v / (d.m - 1)
 
@@ -276,10 +263,10 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
     rank is decided once, on the centered sample matrix; the solve keeps the
     Cholesky pivot check of :func:`normal_solve`.
     """
-    cv = center(d)
-    r = _centered_r(d, cv)
+    xc, yc = _centered(d)
+    r = _centered_r(d, xc, yc)
     loss = float(abs(r[d.n, d.n]))
-    ny = _target_norm(d, cv)
+    ny = _target_norm(d, yc)
     rho_det = _correlation_from_r(r)
     msl = loss * loss / (d.m - 1)
     methods = {
@@ -291,9 +278,9 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
-        a = _solve_centered(cv)
+        a = _solve_centered(d, xc, yc)
         try:
-            rho_proj = _projection_correlation(d, cv, ny, a)
+            rho_proj = _projection_correlation(d, xc, yc, ny, a)
             methods["correlation_projection"] = "projection"
         except ZeroProjection:
             flags = (

@@ -16,16 +16,7 @@ import numpy as np
 from .distance import augment, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
 from .linalg import det_lu, solve_hermitian_psd
 from .qr import gram_logdet, householder_qr
-from .regression import (
-    Dataset,
-    center,
-    design_rank,
-    loss_value_det,
-    loss_value_residual,
-    multiple_correlation_det,
-    multiple_correlation_projection,
-    normal_solve,
-)
+from .regression import Dataset, centered_rank, design_rank, loss_value_residual, regression_report
 from .rng import SplitMix64, derive_seed
 
 TINY = sys.float_info.min
@@ -76,7 +67,7 @@ def _random_dataset(rng: SplitMix64, max_m: int = 40, max_n: int = 8) -> Dataset
     m = rng.randint(n + 2, max_m)
     for _ in range(64):
         d = Dataset(rng.real_matrix(m, n), rng.real_vector(m))
-        if design_rank(d) == n + 1:
+        if centered_rank(d) == n:
             return d
     raise RuntimeError("could not draw a full-rank dataset")
 
@@ -145,23 +136,30 @@ def _check_minor_sum(rng: SplitMix64, t: int, tol: float):
 
 
 def _check_loss_equivalence(rng: SplitMix64, t: int, tol: float):
-    """Determinant loss equals the residual norm of the normal solution."""
+    """Determinant loss equals the residual norm of the normal solution.
+
+    Both come from one report: the loss off its factor of (Xc|yc), the
+    coefficients from its Cholesky solve.
+    """
     d = _random_dataset(rng)
-    dd = loss_value_det(d)
-    dr = loss_value_residual(d, normal_solve(d))
-    dev = _rel(dd, dr)
+    rep = regression_report(d, coefficients=True)
+    dev = _rel(rep.loss_value, loss_value_residual(d, rep.coefficients))
     return dev <= tol, dev
 
 
 def _check_correlation_equivalence(rng: SplitMix64, t: int, tol: float):
-    """Both correlation routes agree, stay in [0, 1], and close Pythagoras."""
+    """Both correlation routes agree, stay in [0, 1], and close Pythagoras.
+
+    A zero projection, where the cosine route is undefined, fails the trial.
+    """
     d = _random_dataset(rng)
-    rho_d = multiple_correlation_det(d)
-    rho_p = multiple_correlation_projection(d)
+    rep = regression_report(d)
+    rho_d, rho_p, delta = rep.correlation, rep.correlation_projection, rep.loss_value
+    if rho_p is None:
+        return False, 1.0
     dev_rho = abs(rho_d - rho_p)
-    cv = center(d)
-    ny2 = float(cv.y_hat @ cv.y_hat)
-    delta = loss_value_det(d)
+    yc = d.y - d.y.mean()
+    ny2 = float(yc @ yc)
     pyth = abs(rho_d * rho_d + delta * delta / ny2 - 1.0)
     in_range = all(-1e-12 <= r <= 1.0 + 1e-12 for r in (rho_d, rho_p))
     ok = dev_rho <= tol and pyth <= tol and in_range
@@ -169,29 +167,21 @@ def _check_correlation_equivalence(rng: SplitMix64, t: int, tol: float):
 
 
 def _check_rank_relation(rng: SplitMix64, t: int, tol: float):
-    """rank(1|X) == rank(centered X) + 1, also under injected constant and
-    duplicated columns and for the square m = n + 1 shape.
-
-    Injected constants are quantized to 2^-20 so that their column mean is
-    exact and centering yields exact zeros; an unrepresentable mean leaves
-    eps-size residue that no scale-free rank estimate can classify when the
-    constant column is the only one.
-    """
+    """design_rank == centered_rank + 1, also under injected constant and
+    duplicated columns and for the square m = n + 1 shape."""
     n = rng.randint(1, 8)
     case = t % 4
     m = n + 1 if case == 3 else rng.randint(n + 2, 40)
     x = rng.real_matrix(m, n)
     if case == 1:
-        x[:, rng.randint(0, n - 1)] = round(rng.uniform() * 2.0**20) * 2.0**-20
+        x[:, rng.randint(0, n - 1)] = rng.uniform()
     elif case == 2:
         if n >= 2:
             x[:, rng.randint(1, n - 1)] = x[:, 0]
         else:
-            x[:, 0] = round(rng.uniform() * 2.0**20) * 2.0**-20
-    design = np.column_stack([np.ones(m), x])
-    r_design = householder_qr(design).rank_estimate
-    r_centered = householder_qr(x - x.mean(axis=0)).rank_estimate
-    ok = r_design == r_centered + 1
+            x[:, 0] = rng.uniform()
+    d = Dataset(x, np.zeros(m))
+    ok = design_rank(d) == centered_rank(d) + 1
     return ok, 0.0 if ok else 1.0
 
 

@@ -1,5 +1,5 @@
 """Centered regression: normal equations, the determinant route for the loss
-value and the correlation, covariance, and the report assembly.
+value and the correlation, the rank rule, and the report assembly.
 
 The hand-worked fixture x = (1,2,3,4), y = (1,2,2,3) anchors everything:
 slope 0.6, intercept 0.5, residuals (-0.1, 0.3, -0.3, 0.1), loss sqrt(0.2),
@@ -14,11 +14,9 @@ import pytest
 from gramdist import (
     Dataset,
     DimensionMismatch,
-    InsufficientSamples,
     RankDeficient,
     ZeroProjection,
     ZeroVariance,
-    center,
     centered_rank,
     design_rank,
     loss_value_det,
@@ -28,7 +26,6 @@ from gramdist import (
     multiple_correlation_projection,
     normal_solve,
     regression_report,
-    sample_covariance,
 )
 
 SQRT_02 = math.sqrt(0.2)
@@ -88,34 +85,6 @@ class TestDataset:
             Dataset(np.ones((3, 1)), np.ones(2))
 
 
-class TestCenter:
-    def test_constant_vector_centers_to_zero(self):
-        d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 1.0, 1.0]))
-        cv = center(d)
-        np.testing.assert_array_equal(cv.y_hat, np.zeros(3))
-        assert cv.y_mean == 1.0
-
-    def test_simple_centering(self):
-        d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]))
-        cv = center(d)
-        np.testing.assert_allclose(cv.y_hat, [-1.0, 0.0, 1.0], atol=1e-15)
-
-    def test_constant_column_drops_rank(self):
-        x = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
-        d = Dataset(x, np.arange(5.0) + 1.0)
-        cv = center(d)
-        np.testing.assert_array_equal(cv.x_hat[:, 0], np.zeros(5))
-        assert centered_rank(d) == 1
-
-    def test_columns_sum_to_zero(self):
-        rng = np.random.default_rng(3)
-        d = random_dataset(rng, 25, 4)
-        cv = center(d)
-        bound = 1e-10 * d.m * max(1.0, float(np.max(np.abs(d.x))))
-        assert np.max(np.abs(cv.x_hat.sum(axis=0))) <= bound
-        assert abs(cv.y_hat.sum()) <= bound
-
-
 class TestNormalSolve:
     def test_exact_line_through_origin(self, perfect_fit):
         np.testing.assert_allclose(normal_solve(perfect_fit), [0.0, 2.0], atol=1e-12)
@@ -146,8 +115,7 @@ class TestNormalSolve:
         for _ in range(10):
             d = random_dataset(rng, 20, 3)
             a = normal_solve(d)
-            cv = center(d)
-            assert abs(cv.y_mean - (a[0] + a[1:] @ cv.x_means)) <= 1e-10
+            assert abs(d.y.mean() - (a[0] + a[1:] @ d.x.mean(axis=0))) <= 1e-10
 
     def test_minimality_of_solution(self, line_fixture):
         a = normal_solve(line_fixture)
@@ -256,7 +224,8 @@ class TestCorrelation:
             d = random_dataset(rng, m, n)
             rho = multiple_correlation_det(d)
             delta = loss_value_det(d)
-            ny2 = float(center(d).y_hat @ center(d).y_hat)
+            yc = d.y - d.y.mean()
+            ny2 = float(yc @ yc)
             assert abs(rho * rho + delta * delta / ny2 - 1.0) <= 1e-8
 
     def test_tiny_target_scales_loss_and_keeps_correlation(self):
@@ -283,6 +252,7 @@ class TestCorrelation:
 class TestRankRelation:
     def test_random_and_adversarial(self):
         rng = np.random.default_rng(23)
+        datasets = []
         for trial in range(50):
             n = int(rng.integers(1, 9))
             m = n + 1 if trial % 4 == 3 else int(rng.integers(n + 2, 41))
@@ -291,34 +261,24 @@ class TestRankRelation:
                 x[:, int(rng.integers(0, n))] = 0.75
             elif trial % 4 == 2 and n >= 2:
                 x[:, 1] = x[:, 0]
-            d = Dataset(x, rng.uniform(-1, 1, m))
+            datasets.append(Dataset(x, rng.uniform(-1, 1, m)))
+        # fewer samples than regressors: (1|X) is factored transposed
+        for m, n in ((2, 3), (3, 5)):
+            datasets.append(Dataset(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)))
+        for d in datasets:
             assert design_rank(d) == centered_rank(d) + 1
 
-
-class TestSampleCovariance:
-    def test_variance_of_1_2_3(self):
-        d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
-        np.testing.assert_allclose(sample_covariance(d), [[1.0]], atol=1e-15)
-
-    def test_duplicated_column_gives_equal_entries(self):
-        x = np.column_stack([np.arange(4.0), np.arange(4.0)])
-        cov = sample_covariance(Dataset(x, np.zeros(4)))
-        assert cov.shape == (2, 2)
-        assert np.max(np.abs(cov - cov[0, 0])) <= 1e-15
-
-    def test_matches_outer_product_sum(self):
-        rng = np.random.default_rng(29)
-        d = random_dataset(rng, 12, 4)
-        cv = center(d)
-        expected = np.zeros((4, 4))
-        for i in range(d.m):
-            expected += np.outer(cv.x_hat[i], cv.x_hat[i])
-        expected /= d.m - 1
-        np.testing.assert_allclose(sample_covariance(d), expected, atol=1e-12)
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(InsufficientSamples):
-            sample_covariance(Dataset(np.ones((1, 1)), np.ones(1)))
+    def test_constant_columns_drop_centered_rank(self):
+        # the rule the report enforces: an exact constant centers to zeros,
+        # and one whose mean rounds leaves a residue that is not rank
+        x = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
+        assert centered_rank(Dataset(x, np.arange(5.0) + 1.0)) == 1
+        inexact, offset = centering_residue_datasets()
+        assert centered_rank(inexact) == 0
+        assert design_rank(inexact) == 1
+        # at the 1e8 offset, (1|X) is itself rank 1 at its own tolerance,
+        # one short of the exact 2, so only the centered side is pinned
+        assert centered_rank(offset) == 1
 
 
 class TestMeanSquaredLoss:

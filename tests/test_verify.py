@@ -43,3 +43,28 @@ class TestRunner:
 
     def test_registry_names_are_unique(self):
         assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 10
+
+    def test_regression_suites_factor_once_per_route(self, monkeypatch):
+        # per trial: the draw's rank check and the report's factor of
+        # (Xc|yc) are the two QRs, the report's Cholesky the one solve;
+        # the rank suite factors (1|X) and Xc once each
+        import gramdist.regression as reg
+        import gramdist.verify as ver
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (reg, ver):
+            for name in ("householder_qr", "solve_hermitian_psd"):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        k = 6
+        for suite, solves in (("loss_value_equivalence", k), ("correlation_equivalence", k), ("rank_relation", 0)):
+            calls.clear()
+            run_suite(suite, trials=k)
+            assert calls.count("householder_qr") == 2 * k, suite
+            assert calls.count("solve_hermitian_psd") == solves, suite
