@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
 from .linalg import LogDet, _frozen, as_matrix, as_vector, det_lu, solve_hermitian_psd
-from .qr import _rank_tolerance, gram_logdet, householder_qr
+from .qr import _rank_of_r, _rank_tolerance, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -70,9 +70,9 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     """
     mat, vec = _operands(a, b)
     m, n = mat.shape
-    ld_a = gram_logdet(householder_qr(mat))
+    ld_a = gram_logdet(householder_qr(mat), m)
     if m >= n + 1:
-        ld_ab = gram_logdet(householder_qr(np.column_stack([vec, mat])))
+        ld_ab = gram_logdet(householder_qr(np.column_stack([vec, mat])), m)
     else:
         ld_ab = LogDet.zero()
     return ld_a, ld_ab
@@ -138,13 +138,13 @@ def distance_qr(a, b) -> DistanceResult:
     """
     aug = augment(a, b)
     m, n = aug.shape[0], aug.shape[1] - 1
-    f = householder_qr(aug)
-    value = float(abs(f.r[n, n]))
-    if f.rank_estimate < n + 1:
-        r11 = f.r[:n, :n]
+    r = householder_qr(aug)
+    value = float(abs(r[n, n]))
+    if _rank_of_r(r, m) < n + 1:
+        r11 = r[:n, :n]
         u, s, _ = np.linalg.svd(r11)
         k = int(np.sum(s > _rank_tolerance(r11, m)))
-        value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ f.r[:n, n])))
+        value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ r[:n, n])))
     return DistanceResult(value, "qr_coordinate")
 
 

@@ -3,29 +3,16 @@
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
 matrices.  Q is never formed: callers that need a unitary matrix take it
-from ``np.linalg.qr`` directly.
+from ``np.linalg.qr`` directly.  No rank is decided here: a caller that
+needs one asks :func:`_rank_of_r` for it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .linalg import EPS, LogDet, _frozen, as_matrix
-
-
-@dataclass(frozen=True)
-class QRFactors:
-    """The n x n triangular factor R of A = Q R, columns in the caller's order.
-
-    rank_estimate counts the singular values of r above
-    max(m, n) * eps * (largest column norm of A).
-    """
-
-    r: np.ndarray
-    rank_estimate: int
 
 
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
@@ -36,30 +23,32 @@ def _rank_tolerance(r: np.ndarray, rows: int) -> float:
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
     """Numerical rank of A from its triangular factor and row count.
 
-    R has the column norms and singular values of A, so the count is the same
-    as on A itself, and it does not depend on the column order.
+    Counts the singular values of R above max(m, n) * eps * (largest column
+    norm of A).  R has the column norms and singular values of A, so the
+    count is the same as on A itself, and it does not depend on the column
+    order.
     """
     return int(np.sum(np.linalg.svd(r, compute_uv=False) > _rank_tolerance(r, rows)))
 
 
-def householder_qr(a) -> QRFactors:
-    """Factor a tall matrix by unpivoted Householder QR (LAPACK geqrf)."""
+def householder_qr(a) -> np.ndarray:
+    """The read-only n x n triangular factor R of A = Q R, by unpivoted
+    Householder QR (LAPACK geqrf); columns stay in the caller's order."""
     mat = as_matrix(a)
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")
-    r = np.linalg.qr(mat, mode="r")
-    return QRFactors(r=_frozen(r), rank_estimate=_rank_of_r(r, m))
+    return _frozen(np.linalg.qr(mat, mode="r"))
 
 
-def gram_logdet(f: QRFactors) -> LogDet:
-    """log det(A* A) = 2 * sum(log |r_ii|) from the triangular diagonal.
+def gram_logdet(r: np.ndarray, rows: int) -> LogDet:
+    """log det(A* A) = 2 * sum(log |r_ii|) from the triangular factor of an
+    m x n matrix A with m = rows.
 
-    Returns the exact zero LogDet whenever the rank estimate falls short of
-    the column count: the Gram determinant is then zero at tolerance.
+    Returns the exact zero LogDet whenever the rank of A falls short of n:
+    the Gram determinant is then zero at tolerance.
     """
-    n = f.r.shape[0]
-    if f.rank_estimate < n:
+    if _rank_of_r(r, rows) < r.shape[1]:
         return LogDet.zero()
-    d = np.abs(np.diag(f.r))
+    d = np.abs(np.diag(r))
     return LogDet(1.0 + 0.0j, 2.0 * float(np.sum(np.log(d))))

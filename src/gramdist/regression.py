@@ -10,7 +10,7 @@ one triangular factor of (Xc|yc).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,13 +81,7 @@ class RegressionReport:
     correlation_projection: float | None
     mean_squared_loss: float
     coefficients: np.ndarray | None
-    methods: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-
-
-def _centered(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(Xc, yc): the sample matrix and target less their column means."""
-    return d.x - d.x.mean(axis=0), d.y - float(d.y.mean())
 
 
 def _design(d: Dataset) -> np.ndarray:
@@ -95,8 +89,12 @@ def _design(d: Dataset) -> np.ndarray:
 
 
 def design_rank(d: Dataset) -> int:
-    """QR rank estimate of the intercept-augmented matrix (1|X)."""
-    return _rank(_design(d))
+    """QR rank of the intercept-augmented matrix (1|X), factored transposed
+    when it is wide."""
+    mat = _design(d)
+    if d.m < d.n + 1:
+        mat = mat.T
+    return _rank_of_r(householder_qr(mat), mat.shape[0])
 
 
 def centered_rank(d: Dataset) -> int:
@@ -105,29 +103,10 @@ def centered_rank(d: Dataset) -> int:
     With fewer samples than regressors, Xc is padded with zero rows, which
     changes neither its singular values nor its column norms.
     """
-    xc, _ = _centered(d)
+    xc = d.x - d.x.mean(axis=0)
     if d.m < d.n:
         xc = np.vstack([xc, np.zeros((d.n - d.m, d.n))])
-    return _centered_rank_of_r(householder_qr(xc).r, d)
-
-
-def _rank(mat: np.ndarray) -> int:
-    m, n = mat.shape
-    if m < n:
-        mat = mat.T
-    return householder_qr(mat).rank_estimate
-
-
-def _variance_tolerance(d: Dataset) -> float:
-    return d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
-
-
-def _target_norm(d: Dataset, yc: np.ndarray) -> float:
-    """||yc||; raises :class:`ZeroVariance` at or below the variance tolerance."""
-    ny = float(np.linalg.norm(yc))
-    if ny <= _variance_tolerance(d):
-        raise ZeroVariance("target vector has zero sample variance at tolerance")
-    return ny
+    return _centered_rank_of_r(householder_qr(xc), d)
 
 
 def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
@@ -146,26 +125,23 @@ def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     return min(_rank_of_r(r, d.m), residue_free)
 
 
-def _centered_r(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """The unpivoted triangular factor of (Xc|yc), with full rank of Xc checked.
+def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Xc, yc, R): the data less its column means and the unpivoted
+    triangular factor R of (Xc|yc), with full rank of Xc checked.
 
-    Its leading n x n block is the factor of Xc, so the rank is decided on
-    Xc alone, by :func:`_centered_rank_of_r`, and the target column's
+    The leading n x n block of R is the factor of Xc, so the rank is decided
+    on Xc alone, by :func:`_centered_rank_of_r`, and the target column's
     entries stay plain values whatever the scale of y.  Raises
     :class:`RankDeficient` when that rank is below n.
     """
     n = d.n
     if d.m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    r = householder_qr(np.column_stack([xc, yc])).r
+    xc, yc = d.x - d.x.mean(axis=0), d.y - float(d.y.mean())
+    r = householder_qr(np.column_stack([xc, yc]))
     if _centered_rank_of_r(r[:n, :n], d) < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
-    return r
-
-
-def _correlation_from_r(r: np.ndarray) -> float:
-    """rho = ||r[:n, n]|| / ||r[:, n]||: the share of yc inside the span of Xc."""
-    return float(np.linalg.norm(r[:-1, -1]) / np.linalg.norm(r[:, -1]))
+    return xc, yc, r
 
 
 def _solve_centered(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
@@ -188,8 +164,7 @@ def normal_solve(d: Dataset) -> np.ndarray:
     :class:`RankDeficient` when Xc fails the rank test of the regression
     report, or the Cholesky factorization of Xc' Xc fails its pivot check.
     """
-    xc, yc = _centered(d)
-    _centered_r(d, xc, yc)
+    xc, yc, _ = _fit(d)
     return _solve_centered(d, xc, yc)
 
 
@@ -211,16 +186,8 @@ def loss_value_det(d: Dataset) -> float:
     the ratio is |r[n, n]|.  Raises :class:`RankDeficient` when the centered
     sample matrix is not full rank.
     """
-    r = _centered_r(d, *_centered(d))
+    r = _fit(d)[2]
     return float(abs(r[d.n, d.n]))
-
-
-def _projection_correlation(d: Dataset, xc: np.ndarray, yc: np.ndarray, ny: float, a: np.ndarray) -> float:
-    p_hat = xc @ a[1:]
-    npn = float(np.linalg.norm(p_hat))
-    if npn <= _variance_tolerance(d):
-        raise ZeroProjection("projection of the centered target is zero at tolerance")
-    return float(yc @ p_hat) / (npn * ny)
 
 
 def multiple_correlation_projection(d: Dataset) -> float:
@@ -229,9 +196,10 @@ def multiple_correlation_projection(d: Dataset) -> float:
     Needs the regression solve; undefined (ZeroProjection) when the projected
     target is numerically zero.
     """
-    xc, yc = _centered(d)
-    ny = _target_norm(d, yc)
-    return _projection_correlation(d, xc, yc, ny, normal_solve(d))
+    rho = regression_report(d).correlation_projection
+    if rho is None:
+        raise ZeroProjection("projection of the centered target is zero at tolerance")
+    return rho
 
 
 def multiple_correlation_det(d: Dataset) -> float:
@@ -242,9 +210,7 @@ def multiple_correlation_det(d: Dataset) -> float:
     1 - |r[n, n]|^2 / ||r[:, n]||^2 = ||r[:n, n]||^2 / ||r[:, n]||^2, so the
     subtraction is exact and the value needs no clamp.
     """
-    xc, yc = _centered(d)
-    _target_norm(d, yc)
-    return _correlation_from_r(_centered_r(d, xc, yc))
+    return regression_report(d, solve=False).correlation
 
 
 def mean_squared_loss(d: Dataset) -> float:
@@ -257,44 +223,40 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
     """Assemble the full report, running each step once.
 
     With solve=False only the determinant-route numbers are produced, which
-    demonstrates that loss and correlation need no regression solve.  When
-    the projection-route correlation is undefined (zero projection) while the
-    determinant route gives 0, the discrepancy is recorded in flags.  The
-    rank is decided once, on the centered sample matrix; the solve keeps the
-    Cholesky pivot check of :func:`normal_solve`.
+    demonstrates that loss and correlation need no regression solve.  The
+    rank is decided once, on the centered sample matrix, before the target's
+    variance: data that is both rank deficient and constant in y raises
+    :class:`RankDeficient`.  A target with zero variance at tolerance raises
+    :class:`ZeroVariance`.  When the projection-route correlation is
+    undefined (zero projection) while the determinant route gives 0, the
+    discrepancy is recorded in flags.  The solve keeps the Cholesky pivot
+    check of :func:`normal_solve`.
     """
-    xc, yc = _centered(d)
-    r = _centered_r(d, xc, yc)
-    loss = float(abs(r[d.n, d.n]))
-    ny = _target_norm(d, yc)
-    rho_det = _correlation_from_r(r)
-    msl = loss * loss / (d.m - 1)
-    methods = {
-        "loss_value": "det_ratio",
-        "correlation": "det_ratio",
-        "mean_squared_loss": "det_ratio",
-    }
+    xc, yc, r = _fit(d)
+    n = d.n
+    loss = float(abs(r[n, n]))
+    ny = float(np.linalg.norm(yc))
+    tol = d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
+    if ny <= tol:
+        raise ZeroVariance("target vector has zero sample variance at tolerance")
     rho_proj = None
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
         a = _solve_centered(d, xc, yc)
-        try:
-            rho_proj = _projection_correlation(d, xc, yc, ny, a)
-            methods["correlation_projection"] = "projection"
-        except ZeroProjection:
-            flags = (
-                "zero_projection: cosine form undefined, determinant form gives 0",
-            )
+        p_hat = xc @ a[1:]
+        npn = float(np.linalg.norm(p_hat))
+        if npn <= tol:
+            flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
+        else:
+            rho_proj = float(yc @ p_hat) / (npn * ny)
         if coefficients:
             coefs = a
-            methods["coefficients"] = "normal_equations"
     return RegressionReport(
         loss_value=loss,
-        correlation=rho_det,
+        correlation=float(np.linalg.norm(r[:n, n]) / np.linalg.norm(r[:, n])),
         correlation_projection=rho_proj,
-        mean_squared_loss=msl,
+        mean_squared_loss=loss * loss / (d.m - 1),
         coefficients=coefs,
-        methods=methods,
         flags=flags,
     )

@@ -15,7 +15,6 @@ PUBLIC = [
     "NotPositiveDefinite",
     "NotSquare",
     "ParseError",
-    "QRFactors",
     "RaggedRows",
     "RankDeficient",
     "RegressionReport",

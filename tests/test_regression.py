@@ -19,6 +19,7 @@ from gramdist import (
     ZeroVariance,
     centered_rank,
     design_rank,
+    householder_qr,
     loss_value_det,
     loss_value_residual,
     mean_squared_loss,
@@ -27,6 +28,7 @@ from gramdist import (
     normal_solve,
     regression_report,
 )
+from gramdist.cli import main
 
 SQRT_02 = math.sqrt(0.2)
 SQRT_09 = math.sqrt(0.9)
@@ -302,7 +304,6 @@ class TestRegressionReport:
         assert abs(rep.mean_squared_loss - 0.2 / 3.0) <= 1e-10
         np.testing.assert_allclose(rep.coefficients, [0.5, 0.6], atol=1e-12)
         assert rep.flags == ()
-        assert rep.methods["loss_value"] == "det_ratio"
 
     def test_no_solve_leaves_projection_out(self, line_fixture):
         rep = regression_report(line_fixture, solve=False)
@@ -325,6 +326,25 @@ class TestRegressionReport:
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
         regression_report(line_fixture, coefficients=True)
         assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
+
+    def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
+        # the factorization decides no rank; the report and centered_rank
+        # run the two SVDs of the centered rank rule and no third
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
+        assert calls == []
+        regression_report(line_fixture, coefficients=True)
+        assert len(calls) == 2
+        calls.clear()
+        centered_rank(line_fixture)
+        assert len(calls) == 2
 
     def test_large_offset_is_full_rank(self):
         # Centered, the regressors are plain Gaussians; the rank test on the
@@ -371,3 +391,24 @@ class TestRegressionReport:
         assert rep.correlation_projection is None
         assert rep.correlation <= 1e-9
         assert any("zero_projection" in f for f in rep.flags)
+
+
+class TestErrorPrecedence:
+    def test_rank_deficiency_wins_over_zero_variance(self, tmp_path, capsys):
+        # duplicated regressors and a constant target: every entry point
+        # decides the rank first, as the regress command does
+        x = np.column_stack([np.arange(4.0), np.arange(4.0)])
+        d = Dataset(x, np.full(4, 7.0))
+        for fn in (
+            multiple_correlation_det,
+            multiple_correlation_projection,
+            loss_value_det,
+            normal_solve,
+            regression_report,
+        ):
+            with pytest.raises(RankDeficient):
+                fn(d)
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n" + "".join(f"{v},{v},7\n" for v in range(4)), encoding="utf-8")
+        assert main(["regress", "--data", str(path), "--target", "y"]) == 2
+        assert "rank-deficient" in capsys.readouterr().err
