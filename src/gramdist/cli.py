@@ -113,10 +113,7 @@ def _emit(payload, fmt: str) -> None:
     head = " ".join(f"{k}={v}" for k, v in payload["inputs"].items())
     print(f"{payload['command']} {head}".rstrip())
     for key, value in payload["results"].items():
-        if isinstance(value, dict):
-            detail = " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
-            print(f"{key}: {detail}")
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             print(f"{key}: " + ",".join(str(v) for v in value))
         elif value is None:
             print(f"{key}: undefined")
@@ -214,7 +211,7 @@ def _cmd_regress(args) -> int:
     y = mat[:, t_index]
     names = tuple(table.header[j] for j in keep) + (args.target,)
     d = Dataset(x, y, names)
-    rep = regression_report(d, coefficients=args.coefficients, solve=not args.no_solve)
+    rep = regression_report(d, solve=not args.no_solve)
     results = {
         "loss_value": rep.loss_value,
         "correlation_det": rep.correlation,
@@ -225,7 +222,7 @@ def _cmd_regress(args) -> int:
         # asserts it
         "rank_full": True,
     }
-    if rep.coefficients is not None:
+    if args.coefficients and rep.coefficients is not None:
         results["coefficients"] = [float(c) for c in rep.coefficients]
     if rep.flags:
         results["flags"] = list(rep.flags)

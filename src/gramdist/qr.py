@@ -16,17 +16,17 @@ from .linalg import EPS, LogDet, _frozen, as_matrix
 
 
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
-    """max(m, n) * eps * (largest column norm) of A, from its factor R."""
+    """max(m, n) * eps * (largest column norm) of A, from A or its factor R."""
     return max(rows, r.shape[1]) * EPS * float(np.max(np.linalg.norm(r, axis=0)))
 
 
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
-    """Numerical rank of A from its triangular factor and row count.
+    """Numerical rank of an m x n matrix A with m = rows, counted on A itself
+    or on its triangular factor R, whichever the caller holds.
 
-    Counts the singular values of R above max(m, n) * eps * (largest column
-    norm of A).  R has the column norms and singular values of A, so the
-    count is the same as on A itself, and it does not depend on the column
-    order.
+    Counts the singular values above max(m, n) * eps * (largest column norm
+    of A).  R has the column norms and singular values of A, so both give
+    the same count, and it does not depend on the column order.
     """
     return int(np.sum(np.linalg.svd(r, compute_uv=False) > _rank_tolerance(r, rows)))
 

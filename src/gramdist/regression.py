@@ -74,6 +74,7 @@ class RegressionReport:
     correlation is always the determinant-route value; the projection-route
     value is kept separately because it is undefined when the projection of
     the centered target vanishes (flags records that discrepancy).
+    coefficients (intercept first) are present whenever the report solved.
     """
 
     loss_value: float
@@ -89,34 +90,25 @@ def _design(d: Dataset) -> np.ndarray:
 
 
 def design_rank(d: Dataset) -> int:
-    """QR rank of the intercept-augmented matrix (1|X), factored transposed
-    when it is wide."""
-    mat = _design(d)
-    if d.m < d.n + 1:
-        mat = mat.T
-    return _rank_of_r(householder_qr(mat), mat.shape[0])
+    """Numerical rank of the intercept-augmented matrix (1|X), counted on
+    (1|X) itself, wide or tall."""
+    return _rank_of_r(_design(d), d.m)
 
 
 def centered_rank(d: Dataset) -> int:
-    """Rank of the centered sample matrix by the rule of the regression report.
-
-    With fewer samples than regressors, Xc is padded with zero rows, which
-    changes neither its singular values nor its column norms.
-    """
-    xc = d.x - d.x.mean(axis=0)
-    if d.m < d.n:
-        xc = np.vstack([xc, np.zeros((d.n - d.m, d.n))])
-    return _centered_rank_of_r(householder_qr(xc), d)
+    """Rank of the centered sample matrix by the rule of the regression report,
+    counted on Xc itself."""
+    return _centered_rank_of_r(d.x - d.x.mean(axis=0), d)
 
 
 def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
-    """Rank of Xc from a triangular factor with its singular values and
-    column norms: the smaller of two counts.
+    """Rank of Xc, counted on Xc itself or on a triangular factor of it (the
+    two share singular values and column norms): the smaller of two counts.
 
     The first counts at Xc's own tolerance.  The second catches the rounding
     that centering leaves, up to about eps * ||x_j|| in column j of Xc: three
     samples of 0.1 center to a nonzero 1e-17.  With each column divided by
-    the uncentered ||x_j|| (r divided the same way is its factor), a
+    the uncentered ||x_j|| (r divided the same way stays Xc or its factor), a
     singular value at or below m * eps is that rounding.
     """
     norms = np.linalg.norm(d.x, axis=0)
@@ -219,18 +211,20 @@ def mean_squared_loss(d: Dataset) -> float:
     return v * v / (d.m - 1)
 
 
-def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = True) -> RegressionReport:
+def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     """Assemble the full report, running each step once.
 
-    With solve=False only the determinant-route numbers are produced, which
-    demonstrates that loss and correlation need no regression solve.  The
-    rank is decided once, on the centered sample matrix, before the target's
-    variance: data that is both rank deficient and constant in y raises
-    :class:`RankDeficient`.  A target with zero variance at tolerance raises
-    :class:`ZeroVariance`.  When the projection-route correlation is
-    undefined (zero projection) while the determinant route gives 0, the
-    discrepancy is recorded in flags.  The solve keeps the Cholesky pivot
-    check of :func:`normal_solve`.
+    The solve gives the coefficients (intercept first) and the
+    projection-route correlation.  With solve=False only the
+    determinant-route numbers are produced, which demonstrates that loss and
+    correlation need no regression solve.  The rank is decided once, on the
+    centered sample matrix, before the target's variance: data that is both
+    rank deficient and constant in y raises :class:`RankDeficient`.  A
+    target with zero variance at tolerance raises :class:`ZeroVariance`.
+    When the projection-route correlation is undefined (zero projection)
+    while the determinant route gives 0, the discrepancy is recorded in
+    flags.  The solve keeps the Cholesky pivot check of
+    :func:`normal_solve`.
     """
     xc, yc, r = _fit(d)
     n = d.n
@@ -243,15 +237,13 @@ def regression_report(d: Dataset, *, coefficients: bool = False, solve: bool = T
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
-        a = _solve_centered(d, xc, yc)
-        p_hat = xc @ a[1:]
+        coefs = _solve_centered(d, xc, yc)
+        p_hat = xc @ coefs[1:]
         npn = float(np.linalg.norm(p_hat))
         if npn <= tol:
             flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
         else:
             rho_proj = float(yc @ p_hat) / (npn * ny)
-        if coefficients:
-            coefs = a
     return RegressionReport(
         loss_value=loss,
         correlation=float(np.linalg.norm(r[:n, n]) / np.linalg.norm(r[:, n])),

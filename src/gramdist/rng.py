@@ -79,15 +79,10 @@ class SplitMix64:
         return np.array([self.complex_disc() for _ in range(n)], np.complex128)
 
     def real_matrix(self, m: int, n: int) -> np.ndarray:
-        return np.array(
-            [[self.uniform() for _ in range(n)] for _ in range(m)], np.float64
-        )
+        return self.real_vector(m * n).reshape(m, n)
 
     def complex_matrix(self, m: int, n: int) -> np.ndarray:
-        return np.array(
-            [[self.complex_disc() for _ in range(n)] for _ in range(m)],
-            np.complex128,
-        )
+        return self.complex_vector(m * n).reshape(m, n)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n)."""

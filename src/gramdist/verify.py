@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import augment, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
+from .errors import RankDeficient
 from .linalg import det_lu, solve_hermitian_psd
 from .qr import _rank_of_r, gram_logdet, householder_qr
-from .regression import Dataset, centered_rank, design_rank, loss_value_residual, regression_report
+from .regression import Dataset, RegressionReport, centered_rank, design_rank, loss_value_residual, regression_report
 from .rng import SplitMix64, derive_seed
 
 TINY = sys.float_info.min
@@ -46,7 +47,7 @@ def _rel(a: float, b: float) -> float:
 def _full_rank_complex(rng: SplitMix64, m: int, n: int) -> np.ndarray:
     for _ in range(64):
         a = rng.complex_matrix(m, n)
-        if _rank_of_r(householder_qr(a), m) == n:
+        if _rank_of_r(a, m) == n:
             return a
     raise RuntimeError("could not draw a full-rank matrix")
 
@@ -64,13 +65,17 @@ def _unitary(rng: SplitMix64, m: int) -> np.ndarray:
     return np.linalg.qr(rng.complex_matrix(m, m))[0]
 
 
-def _random_dataset(rng: SplitMix64, max_m: int = 40, max_n: int = 8) -> Dataset:
+def _random_report(rng: SplitMix64, max_m: int = 40, max_n: int = 8) -> tuple[Dataset, RegressionReport]:
+    """The first drawn dataset whose regression report accepts its rank,
+    with that report."""
     n = rng.randint(1, max_n)
     m = rng.randint(n + 2, max_m)
     for _ in range(64):
         d = Dataset(rng.real_matrix(m, n), rng.real_vector(m))
-        if centered_rank(d) == n:
-            return d
+        try:
+            return d, regression_report(d)
+        except RankDeficient:
+            pass
     raise RuntimeError("could not draw a full-rank dataset")
 
 
@@ -143,8 +148,7 @@ def _check_loss_equivalence(rng: SplitMix64, t: int, tol: float):
     Both come from one report: the loss off its factor of (Xc|yc), the
     coefficients from its Cholesky solve.
     """
-    d = _random_dataset(rng)
-    rep = regression_report(d, coefficients=True)
+    d, rep = _random_report(rng)
     dev = _rel(rep.loss_value, loss_value_residual(d, rep.coefficients))
     return dev <= tol, dev
 
@@ -154,8 +158,7 @@ def _check_correlation_equivalence(rng: SplitMix64, t: int, tol: float):
 
     A zero projection, where the cosine route is undefined, fails the trial.
     """
-    d = _random_dataset(rng)
-    rep = regression_report(d)
+    d, rep = _random_report(rng)
     rho_d, rho_p, delta = rep.correlation, rep.correlation_projection, rep.loss_value
     if rho_p is None:
         return False, 1.0

@@ -7,9 +7,11 @@ failure here is reproducible from the command line.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -125,9 +127,11 @@ def test_criterion_7_unitary_invariance():
 
 def test_criterion_8_cli_determinism():
     cmd = [sys.executable, "-m", "gramdist", "verify", "--seed", "42", "--trials", "100"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     t0 = time.perf_counter()
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     elapsed = time.perf_counter() - t0
     ok = (
         first.returncode == 0

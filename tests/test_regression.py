@@ -29,6 +29,8 @@ from gramdist import (
     regression_report,
 )
 from gramdist.cli import main
+from gramdist.qr import _rank_of_r
+from gramdist.regression import _centered_rank_of_r
 
 SQRT_02 = math.sqrt(0.2)
 SQRT_09 = math.sqrt(0.9)
@@ -264,11 +266,46 @@ class TestRankRelation:
             elif trial % 4 == 2 and n >= 2:
                 x[:, 1] = x[:, 0]
             datasets.append(Dataset(x, rng.uniform(-1, 1, m)))
-        # fewer samples than regressors: (1|X) is factored transposed
+        # fewer samples than regressors: (1|X) is wide
         for m, n in ((2, 3), (3, 5)):
             datasets.append(Dataset(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)))
         for d in datasets:
             assert design_rank(d) == centered_rank(d) + 1
+
+    def test_counting_on_the_matrix_matches_its_factor(self):
+        # a rank counted on A is the rank counted on its factor R; the
+        # centered rule on Xc matches its factor, zero-padded when Xc is wide
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            m, n = int(rng.integers(4, 30)), int(rng.integers(2, 6))
+            m = max(m, n)
+            a = rng.standard_normal((m, n))
+            if trial % 2:
+                a = a + 1j * rng.standard_normal((m, n))
+            case = trial % 5
+            if case == 1:
+                a[:, n - 1] = a[:, 0]
+            elif case == 2:
+                a[:, 1] = -3.75 * a[:, 0]
+            elif case == 3:
+                a[:, 0] = 0.0
+            elif case == 4:
+                a[:, n - 1] = 0.1
+            for scale in (1.0, 1e8):
+                assert _rank_of_r(scale * a, m) == _rank_of_r(householder_qr(scale * a), m)
+        datasets = [*centering_residue_datasets(), offset_dataset()]
+        for m, n in ((2, 3), (3, 5), (6, 6), (7, 4), (40, 8)):
+            x = rng.uniform(-1, 1, (m, n))
+            datasets.append(Dataset(x, rng.uniform(-1, 1, m)))
+            dup = x.copy()
+            dup[:, n - 1] = dup[:, 0]
+            const = 1e8 * x
+            const[:, 0] = 0.1
+            datasets += [Dataset(dup, np.zeros(m)), Dataset(const, np.zeros(m))]
+        for d in datasets:
+            xc = d.x - d.x.mean(axis=0)
+            padded = np.vstack([xc, np.zeros((max(d.n - d.m, 0), d.n))])
+            assert _centered_rank_of_r(xc, d) == _centered_rank_of_r(householder_qr(padded), d)
 
     def test_constant_columns_drop_centered_rank(self):
         # the rule the report enforces: an exact constant centers to zeros,
@@ -297,7 +334,7 @@ class TestMeanSquaredLoss:
 
 class TestRegressionReport:
     def test_full_report(self, line_fixture):
-        rep = regression_report(line_fixture, coefficients=True)
+        rep = regression_report(line_fixture)
         assert abs(rep.loss_value - SQRT_02) <= 1e-10
         assert abs(rep.correlation - SQRT_09) <= 1e-10
         assert abs(rep.correlation_projection - SQRT_09) <= 1e-10
@@ -324,27 +361,39 @@ class TestRegressionReport:
 
         for name in ("householder_qr", "design_rank", "solve_hermitian_psd"):
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
-        regression_report(line_fixture, coefficients=True)
+        regression_report(line_fixture)
         assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
         # the factorization decides no rank; the report and centered_rank
-        # run the two SVDs of the centered rank rule and no third
+        # run the two SVDs of the centered rank rule and no third, and the
+        # two rank functions count on the matrix itself, factoring nothing
+        import gramdist.regression as reg
+
         svd = np.linalg.svd
         calls = []
+        factored = []
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        def counted_qr(a):
+            factored.append(np.shape(a))
+            return householder_qr(a)
+
         monkeypatch.setattr(np.linalg, "svd", counted)
         householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
         assert calls == []
-        regression_report(line_fixture, coefficients=True)
+        regression_report(line_fixture)
         assert len(calls) == 2
         calls.clear()
+        monkeypatch.setattr(reg, "householder_qr", counted_qr)
         centered_rank(line_fixture)
         assert len(calls) == 2
+        design_rank(line_fixture)
+        assert len(calls) == 3
+        assert factored == []
 
     def test_large_offset_is_full_rank(self):
         # Centered, the regressors are plain Gaussians; the rank test on the
@@ -352,10 +401,10 @@ class TestRegressionReport:
         d = offset_dataset()
         xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
         slopes, (ss,), *_ = np.linalg.lstsq(xc, yc, rcond=None)
-        for kwargs in ({"coefficients": True}, {"solve": False}):
+        for kwargs in ({}, {"solve": False}):
             rep = regression_report(d, **kwargs)
             assert abs(rep.loss_value - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
-        rep = regression_report(d, coefficients=True)
+        rep = regression_report(d)
         np.testing.assert_allclose(rep.coefficients[1:], slopes, rtol=1e-9)
         assert abs(rep.correlation - rep.correlation_projection) <= 1e-12
 
@@ -364,7 +413,7 @@ class TestRegressionReport:
         x = rng.standard_normal((50, 3))
         x[:, 2] = x[:, 0]
         d = Dataset(x, rng.standard_normal(50))
-        for kwargs in ({"coefficients": True}, {"solve": False}):
+        for kwargs in ({}, {"solve": False}):
             with pytest.raises(RankDeficient):
                 regression_report(d, **kwargs)
 
@@ -375,13 +424,13 @@ class TestRegressionReport:
         x = np.column_stack([rng.standard_normal(200) + 1e8, 1e-6 * rng.standard_normal(200)])
         d = Dataset(x, x @ np.array([1.0, 1e6]) + rng.standard_normal(200))
         _, (ss,), *_ = np.linalg.lstsq(x - x.mean(axis=0), d.y - d.y.mean(), rcond=None)
-        for kwargs in ({"coefficients": True}, {"solve": False}):
+        for kwargs in ({}, {"solve": False}):
             rep = regression_report(d, **kwargs)
             assert abs(rep.loss_value - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
 
     def test_centering_residue_rejected_with_and_without_solve(self):
         for d in centering_residue_datasets():
-            for kwargs in ({"coefficients": True}, {"solve": False}):
+            for kwargs in ({}, {"solve": False}):
                 with pytest.raises(RankDeficient):
                     regression_report(d, **kwargs)
 

@@ -45,9 +45,9 @@ class TestRunner:
         assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 10
 
     def test_regression_suites_factor_once_per_route(self, monkeypatch):
-        # per trial: the draw's rank check and the report's factor of
-        # (Xc|yc) are the two QRs, the report's Cholesky the one solve;
-        # the rank suite factors (1|X) and Xc once each
+        # per trial: the report's factor of (Xc|yc) is the one QR, which
+        # also accepts the draw, and its Cholesky the one solve; the rank
+        # suite counts on (1|X) and Xc themselves and factors nothing
         import gramdist.regression as reg
         import gramdist.verify as ver
 
@@ -63,8 +63,8 @@ class TestRunner:
             for name in ("householder_qr", "solve_hermitian_psd"):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         k = 6
-        for suite, solves in (("loss_value_equivalence", k), ("correlation_equivalence", k), ("rank_relation", 0)):
+        for suite, qrs, solves in (("loss_value_equivalence", k, k), ("correlation_equivalence", k, k), ("rank_relation", 0, 0)):
             calls.clear()
             run_suite(suite, trials=k)
-            assert calls.count("householder_qr") == 2 * k, suite
+            assert calls.count("householder_qr") == qrs, suite
             assert calls.count("solve_hermitian_psd") == solves, suite
