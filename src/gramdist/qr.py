@@ -48,7 +48,12 @@ def gram_logdet(r: np.ndarray, rows: int) -> LogDet:
     Returns the exact zero LogDet whenever the rank of A falls short of n:
     the Gram determinant is then zero at tolerance.
     """
-    if _rank_of_r(r, rows) < r.shape[1]:
+    return _logdet_at_rank(r, _rank_of_r(r, rows))
+
+
+def _logdet_at_rank(r: np.ndarray, rank: int) -> LogDet:
+    """:func:`gram_logdet` for a caller that has already decided the rank."""
+    if rank < r.shape[1]:
         return LogDet.zero()
     d = np.abs(np.diag(r))
     return LogDet(1.0 + 0.0j, 2.0 * float(np.sum(np.log(d))))

@@ -12,6 +12,13 @@ Conventions (fixed so instances are portable):
 * complex entries are rejection-sampled from the closed unit disc
   (draw re, im uniform on [-1, 1], accept when re^2 + im^2 <= 1);
 * matrices fill row by row.
+
+The scalar methods (``next_u64``, ``uniform``, ``complex_disc``, ``randint``)
+define the stream.  The array draws compute the same values in one batch:
+from state s, the i-th next output (counting from 1) is mix64(s + i * gamma),
+so a whole prefix can be formed from the counter at once.  They return
+exactly what the scalar draws would and leave the counter where those
+would, so instances do not depend on which methods drew them.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
 
 
 def mix64(z: int) -> int:
@@ -72,11 +82,44 @@ class SplitMix64:
             if re * re + im * im <= 1.0:
                 return complex(re, im)
 
+    def _uniforms(self, k: int) -> np.ndarray:
+        """The next k values of ``uniform``, computed in one array pass from
+        the counter: output i is mix64(state + i * gamma)."""
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= _GAMMA_U64
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1_U64
+        z ^= z >> np.uint64(27)
+        z *= _MIX2_U64
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + k * _GAMMA) & MASK64
+        u = (z >> np.uint64(11)).astype(np.float64)
+        u *= 2.0**-52
+        u -= 1.0
+        return u
+
     def real_vector(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], np.float64)
+        return self._uniforms(n)
 
     def complex_vector(self, n: int) -> np.ndarray:
-        return np.array([self.complex_disc() for _ in range(n)], np.complex128)
+        """n draws of ``complex_disc``: candidate pairs come in batches and
+        are accepted in order; the counter ends just past the last pair
+        taken, so the stream continues as the scalar draws would."""
+        out = np.empty(n, np.complex128)
+        done = 0
+        while done < n:
+            need = n - done
+            start = self._state
+            u = self._uniforms(2 * (need + need // 2 + 1))
+            re, im = u[0::2], u[1::2]
+            taken = np.flatnonzero(re * re + im * im <= 1.0)[:need]
+            out.real[done:done + taken.size] = re[taken]
+            out.imag[done:done + taken.size] = im[taken]
+            done += taken.size
+            if done == n:
+                self._state = (start + 2 * (int(taken[-1]) + 1) * _GAMMA) & MASK64
+        return out
 
     def real_matrix(self, m: int, n: int) -> np.ndarray:
         return self.real_vector(m * n).reshape(m, n)

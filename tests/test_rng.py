@@ -81,3 +81,83 @@ class TestDraws:
         g = SplitMix64(23)
         p = g.permutation(9)
         assert sorted(p.tolist()) == list(range(9))
+
+
+def scalar_real(g, n):
+    return np.array([g.uniform() for _ in range(n)], np.float64)
+
+
+def scalar_complex(g, n):
+    return np.array([g.complex_disc() for _ in range(n)], np.complex128)
+
+
+LENGTHS = (*range(65), 132)
+SEEDS = tuple(derive_seed(2014, i) for i in range(6)) + (0, MASK64)
+
+
+class TestBatchedDraws:
+    """The array draws are computed in batches from the counter; the scalar
+    methods define the stream, so both must agree bit for bit and leave the
+    generator in the same state."""
+
+    def assert_same_draws(self, a, b, x, y):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+        assert a._state == b._state
+        assert a.next_u64() == b.next_u64()
+
+    def test_real_vector_matches_scalar_stream(self):
+        for seed in SEEDS:
+            for n in LENGTHS:
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                self.assert_same_draws(a, b, a.real_vector(n), scalar_real(b, n))
+
+    def test_complex_vector_matches_scalar_stream(self):
+        for seed in SEEDS:
+            for n in LENGTHS:
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                self.assert_same_draws(a, b, a.complex_vector(n), scalar_complex(b, n))
+
+    def test_interleaved_vector_scalar_vector(self):
+        for seed in SEEDS:
+            for n in (1, 7, 40):
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                batched = [
+                    a.complex_vector(n).tobytes(),
+                    a.uniform(),
+                    a.real_vector(n).tobytes(),
+                    a.complex_disc(),
+                    a.randint(0, 9),
+                    a.complex_vector(n + 3).tobytes(),
+                ]
+                scalar = [
+                    scalar_complex(b, n).tobytes(),
+                    b.uniform(),
+                    scalar_real(b, n).tobytes(),
+                    b.complex_disc(),
+                    b.randint(0, 9),
+                    scalar_complex(b, n + 3).tobytes(),
+                ]
+                assert batched == scalar
+                assert a._state == b._state
+
+    def test_short_first_batch_refills(self, monkeypatch):
+        # seeds whose first batch of candidate pairs accepts fewer than n
+        # draws must go round the refill loop and still match the scalars
+        batches = []
+        uniforms = SplitMix64._uniforms
+
+        def counted(self, k):
+            batches.append(k)
+            return uniforms(self, k)
+
+        monkeypatch.setattr(SplitMix64, "_uniforms", counted)
+        refilled = 0
+        for n in (1, 2, 5, 12, 64):
+            for i in range(400):
+                seed = derive_seed(1, n, i)
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                batches.clear()
+                self.assert_same_draws(a, b, a.complex_vector(n), scalar_complex(b, n))
+                refilled += len(batches) > 1
+        assert refilled >= 20

@@ -1,8 +1,10 @@
 """The property-suite runner itself: determinism, per-trial stream
 independence, and override handling."""
 
+import numpy as np
 import pytest
 
+from gramdist.rng import SplitMix64
 from gramdist.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -68,3 +70,11 @@ class TestRunner:
             run_suite(suite, trials=k)
             assert calls.count("householder_qr") == qrs, suite
             assert calls.count("solve_hermitian_psd") == solves, suite
+
+    def test_batched_draws_leave_the_suites_unchanged(self, monkeypatch):
+        # the same suites with the array draws taken one scalar at a time,
+        # as the stream defines them, must give the same results
+        batched = run_all(seed=1, trials=20)
+        monkeypatch.setattr(SplitMix64, "real_vector", lambda g, n: np.array([g.uniform() for _ in range(n)], np.float64))
+        monkeypatch.setattr(SplitMix64, "complex_vector", lambda g, n: np.array([g.complex_disc() for _ in range(n)], np.complex128))
+        assert run_all(seed=1, trials=20) == batched
