@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _frozen, as_matrix, as_vector, det_lu, solve_hermitian_psd
+from .linalg import LogDet, _frozen, _matrix, _vector, as_matrix, solve_hermitian_psd
 from .qr import _rank_of_r, _rank_tolerance, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
@@ -43,9 +43,12 @@ class DistanceResult:
 
 
 def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """A and b validated and copied, with b's length checked against A's rows."""
-    mat = as_matrix(a)
-    vec = as_vector(b)
+    """A and b validated, with b's length checked against A's rows.
+
+    Neither is copied: every caller only reads them, and keeps neither.
+    """
+    mat = _matrix(a, copy=False)
+    vec = _vector(b, copy=False)
     if vec.shape[0] != mat.shape[0]:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
@@ -149,8 +152,18 @@ def distance_qr(a, b) -> DistanceResult:
 
 
 def _minor_logdets(mat: np.ndarray) -> list[LogDet]:
-    base = np.asarray(mat)
-    return [det_lu(np.delete(base, i, axis=0)) for i in range(base.shape[0])]
+    """The determinants of the n+1 row-deleted minors of an (n+1) x n matrix,
+    each by LU as :func:`~gramdist.linalg.det_lu` computes it, stacked into
+    one (n+1, n, n) slogdet call; an exactly singular minor is the exact zero."""
+    m = mat.shape[0]
+    rows = np.arange(m)
+    # row i of kept lists every row index but i
+    kept = np.broadcast_to(rows, (m, m))[rows[:, None] != rows].reshape(m, m - 1)
+    signs, log_mags = np.linalg.slogdet(mat[kept])
+    return [
+        LogDet.zero() if sign == 0 else LogDet(complex(sign), float(log_mag))
+        for sign, log_mag in zip(signs, log_mags)
+    ]
 
 
 def orthogonal_minor_vector(a) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense matrix arithmetic: validated immutable arrays, determinants kept in
 log form, and hermitian positive-definite solves, both on LAPACK.
 
-Inputs are validated and copied; outputs come back with the writeable flag
-cleared, so every operation behaves as a pure function over values.
+Inputs are validated and copied, except where a caller only reads them;
+outputs come back with the writeable flag cleared, so every operation
+behaves as a pure function over values.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate a 2-d array-like and return a read-only float64/complex128 copy.
+def _matrix(a, copy: bool) -> np.ndarray:
+    """The checks and dtype of :func:`as_matrix`, returned writeable.
 
-    Rejects empty axes and any non-finite entry.
+    With copy=False a float64 or complex128 ndarray comes back as itself,
+    for callers that only read it; other input is converted into a new array.
     """
     arr = np.asarray(a)
     if arr.ndim != 2:
@@ -36,24 +38,37 @@ def as_matrix(a) -> np.ndarray:
     if m < 1 or n < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {arr.shape}")
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    out = arr.astype(dtype, copy=True)
+    out = arr.astype(dtype, copy=copy)
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite")
-    return _frozen(out)
+    return out
 
 
-def as_vector(a) -> np.ndarray:
-    """Validate a 1-d array-like; same rules as :func:`as_matrix`."""
+def _vector(a, copy: bool) -> np.ndarray:
+    """:func:`_matrix` for the 1-d rules of :func:`as_vector`."""
     arr = np.asarray(a)
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-d array, got ndim={arr.ndim}")
     if arr.shape[0] < 1:
         raise ShapeError("vector length must be positive")
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    out = arr.astype(dtype, copy=True)
+    out = arr.astype(dtype, copy=copy)
     if not np.isfinite(out).all():
         raise ValueError("vector entries must be finite")
-    return _frozen(out)
+    return out
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate a 2-d array-like and return a read-only float64/complex128 copy.
+
+    Rejects empty axes and any non-finite entry.
+    """
+    return _frozen(_matrix(a, copy=True))
+
+
+def as_vector(a) -> np.ndarray:
+    """Validate a 1-d array-like; same rules as :func:`as_matrix`."""
+    return _frozen(_vector(a, copy=True))
 
 
 def as_real_matrix(a) -> np.ndarray:

@@ -3,16 +3,26 @@
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
 matrices.  Q is never formed: callers that need a unitary matrix take it
-from ``np.linalg.qr`` directly.  No rank is decided here: a caller that
-needs one asks :func:`_rank_of_r` for it.
+from ``np.linalg.qr`` directly.  The operand is validated but not copied,
+since LAPACK works on a copy of its own.
+
+No rank is decided while factoring: a caller that needs one asks
+:func:`_rank_of_r` for it.  Every count of singular values above a
+tolerance goes through :func:`_count_above`, which first tries a shifted
+Cholesky certificate of full rank and runs an SVD only when that fails.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import EPS, LogDet, _frozen, as_matrix
+from .linalg import EPS, LogDet, _frozen, _matrix
+
+# The smallest positive (subnormal) double.
+_ETA = 2.0**-1074
 
 
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
@@ -28,13 +38,84 @@ def _rank_of_r(r: np.ndarray, rows: int) -> int:
     of A).  R has the column norms and singular values of A, so both give
     the same count, and it does not depend on the column order.
     """
-    return int(np.sum(np.linalg.svd(r, compute_uv=False) > _rank_tolerance(r, rows)))
+    return _count_above(r, _rank_tolerance(r, rows))
+
+
+def _count_above(a: np.ndarray, tol: float) -> int:
+    """Number of singular values of an m x n matrix a above tol.
+
+    A full count is settled without an SVD when
+    :func:`_certifies_full_rank` proves sigma_min >= 2 * tol; otherwise the
+    singular values are computed and counted.
+    """
+    if _certifies_full_rank(a, tol):
+        return a.shape[1]
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > tol))
+
+
+def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
+    """True only if sigma_min(a) >= 2 * tol, for an m x n matrix a with
+    m >= n; a wide a is never certified.
+
+    The proof is a Cholesky factorization of H = fl(G - s I), G = a* a, that
+    succeeds with a finite factor (Rump 2006, "Verification of positive
+    definiteness", BIT 46), with the shift
+
+        s = 4 tol^2 + 2 (m + n + 2) (eps ||a||_F^2 + n eta),
+
+    where eta is the smallest subnormal and ||a||_F^2 is the trace of the
+    computed G.  With u = eps/2 and gamma_k = k u / (1 - k u), in complex
+    arithmetic (real is no worse):
+
+    * the matmul: fl(a* a) = G + E1 with |E1| <= gamma_(m+2) |a|*|a|, so
+      ||E1||_2 <= gamma_(m+2) ||a||_F^2 (inner dimension m);
+    * the subtraction: |h_ii - (fl(G)_ii - s)| <= u fl(G)_ii, as a
+      successful factor has h_ii > 0, i.e. s < fl(G)_ii;
+    * the factorization: L L* = H + E2 with |E2| <= gamma_(n+3) |L||L*|
+      (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
+      and ||L||_F^2 <= trace(H) / (1 - gamma_(n+3)) <= trace(fl(G)) (1 + O(u)).
+
+    L L* is positive semidefinite, so lambda_min(G) >= s minus the three
+    errors, which total at most ((m + 2) + 1 + (n + 3)) u ||a||_F^2
+    (1 + O(n u)) = (m + n + 6)/2 eps ||a||_F^2 (1 + O(n u)).  For every
+    m + n >= 2 that is below c (m + n + 2) eps ||a||_F^2 once c = 2, with
+    room for the O(n u) terms and for reading ||a||_F^2 off the computed
+    trace (relative error gamma_(m+2)).  Hence
+    sigma_min^2 = lambda_min(G) >= 4 tol^2.
+
+    Gradual underflow adds at most about sqrt(2) n (m + n + 2) eta to the
+    three errors, which the n eta term covers.  Nothing is claimed when the
+    shift overflows, nor when L holds an inf or a nan.  Success thus proves
+    the count is n with a factor 2 to spare, far from where the SVD's own
+    rounding could move it.
+    """
+    m, n = a.shape
+    if m < n:
+        return False
+    g = a.conj().T @ a
+    diag = g.reshape(-1)[:: n + 1]
+    fro2 = sum(diag.real.tolist())  # Python floats: an overflow is a quiet inf
+    shift = 4.0 * tol * tol + 2.0 * (m + n + 2) * (EPS * fro2 + n * _ETA)
+    if shift == math.inf:
+        return False
+    diag -= shift
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    # the factorization does not flag a nan pivot, and a sum of the entries
+    # is finite only if every entry is
+    return bool(np.isfinite(low.sum()))
 
 
 def householder_qr(a) -> np.ndarray:
     """The read-only n x n triangular factor R of A = Q R, by unpivoted
-    Householder QR (LAPACK geqrf); columns stay in the caller's order."""
-    mat = as_matrix(a)
+    Householder QR (LAPACK geqrf); columns stay in the caller's order.
+
+    A is validated as :func:`~gramdist.linalg.as_matrix` does but not
+    copied: LAPACK factors a copy of its own and never writes to A.
+    """
+    mat = _matrix(a, copy=False)
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")

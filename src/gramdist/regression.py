@@ -22,7 +22,7 @@ from .errors import (
     ZeroVariance,
 )
 from .linalg import EPS, _frozen, as_real_matrix, as_real_vector, solve_hermitian_psd
-from .qr import _rank_of_r, householder_qr
+from .qr import _count_above, _rank_of_r, householder_qr
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     """
     norms = np.linalg.norm(d.x, axis=0)
     scaled = r / np.where(norms > 0.0, norms, 1.0)
-    residue_free = int(np.sum(np.linalg.svd(scaled, compute_uv=False) > d.m * EPS))
+    residue_free = _count_above(scaled, d.m * EPS)
     return min(_rank_of_r(r, d.m), residue_free)
 
 

@@ -74,6 +74,49 @@ class TestAugment:
             augment(np.eye(2), np.ones(3))
 
 
+class TestOperandsAreOnlyRead:
+    """augment, gram_logdets and distance_projection validate without a copy:
+    they neither mutate their operands nor keep them."""
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_caller_may_mutate_after_the_call(self, complex_input):
+        rng = np.random.default_rng(101)
+        a = random_complex(rng, 7, 3) if complex_input else rng.uniform(-1, 1, (7, 3))
+        b = random_cvec(rng, 7) if complex_input else rng.uniform(-1, 1, 7)
+        a0, b0 = a.copy(), b.copy()
+        aug = augment(a, b)
+        lds = gram_logdets(a, b)
+        proj = distance_projection(a, b)
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        assert a.flags.writeable and b.flags.writeable
+        assert not aug.flags.writeable
+        assert not np.shares_memory(aug, a) and not np.shares_memory(aug, b)
+        a[:] = 0.0
+        b[:] = 1.0
+        np.testing.assert_array_equal(aug, np.column_stack([a0, b0]))
+        assert gram_logdets(a0, b0) == lds
+        assert distance_projection(a0, b0) == proj
+        assert gram_logdets(a, b)[0].is_zero
+
+    def test_validation_is_kept(self):
+        good_a, good_b = np.eye(3)[:, :2], np.ones(3)
+        for fn in (augment, gram_logdets, distance_projection):
+            with pytest.raises(ValueError, match="finite"):
+                fn(np.array([[1.0, np.nan], [0.0, 1.0], [0.0, 0.0]]), good_b)
+            with pytest.raises(ValueError, match="finite"):
+                fn(good_a, np.array([1.0, np.inf, 0.0]))
+            for bad_a, bad_b in ((np.ones(3), good_b), (np.zeros((0, 2)), good_b),
+                                 (good_a, np.ones((3, 1))), (good_a, np.zeros(0))):
+                with pytest.raises(ShapeError):
+                    fn(bad_a, bad_b)
+            with pytest.raises(DimensionMismatch):
+                fn(good_a, np.ones(4))
+        out = augment([[1, 2], [3, 4], [5, 6]], [1, 0, 0])
+        assert out.dtype == np.float64
+        assert augment(np.ones((3, 2), np.int64), [1j, 0, 0]).dtype == np.complex128
+
+
 class TestDistanceDet:
     def test_orthogonal_unit_vector(self):
         r = distance_det([[1.0], [0.0]], [0.0, 1.0])

@@ -1,5 +1,6 @@
 """Householder QR: the triangular factor against the Gram matrix and a
-Gram-Schmidt oracle, the rank read off that factor, and the Gram
+Gram-Schmidt oracle, the rank read off that factor, the shifted-Cholesky
+certificate of full rank against the SVD count, and the Gram
 log-determinant read off the diagonal.
 
 The independent oracle is classical Gram-Schmidt: it builds an orthonormal
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gramdist import (
     ShapeError,
@@ -18,7 +21,8 @@ from gramdist import (
     gram_logdet,
     householder_qr,
 )
-from gramdist.qr import _rank_of_r
+from gramdist.linalg import EPS
+from gramdist.qr import _certifies_full_rank, _count_above, _rank_of_r, _rank_tolerance
 
 
 def gram_schmidt(a, tol=1e-12):
@@ -128,6 +132,202 @@ class TestImmutability:
         snapshot = a.copy()
         householder_qr(a)
         np.testing.assert_array_equal(a, snapshot)
+
+    def test_result_shares_no_memory_with_the_input(self):
+        for a in (np.random.default_rng(59).standard_normal((4, 4)),
+                  random_complex(np.random.default_rng(61), 6, 3)):
+            r = householder_qr(a)
+            assert not np.shares_memory(r, a)
+            assert not r.flags.writeable
+            assert a.flags.writeable
+
+    def test_float_input_reaches_lapack_uncopied(self, monkeypatch):
+        # LAPACK copies its operand itself, so householder_qr passes a
+        # float64 or complex128 array through; mutating it afterwards
+        # leaves the factor as it was
+        rng = np.random.default_rng(67)
+        factor = np.linalg.qr
+        seen = []
+
+        def spy(a, mode):
+            seen.append(a)
+            return factor(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        for a in (rng.standard_normal((6, 3)), random_complex(rng, 6, 3)):
+            r = householder_qr(a)
+            assert seen.pop() is a
+            before = r.copy()
+            a[:] = 0.0
+            np.testing.assert_array_equal(r, before)
+
+    def test_validation_is_kept(self):
+        for bad in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf], [1.0]]),
+                    np.array([[1.0 + 1j * np.inf], [1.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                householder_qr(bad)
+        for bad in (np.ones(3), np.zeros((0, 2)), np.zeros((2, 0)), np.ones((2, 2, 2))):
+            with pytest.raises(ShapeError):
+                householder_qr(bad)
+        for value, dtype in (([[1, 2], [3, 4], [5, 7]], np.float64),
+                             (np.array([[1, 2], [3, 4]], np.int32), np.float64),
+                             (np.array([[1.0], [2.0]], np.float32), np.float64),
+                             ([[1 + 1j], [2.0]], np.complex128),
+                             (np.array([[1 + 1j], [2.0]], np.complex64), np.complex128)):
+            r = householder_qr(value)
+            assert r.dtype == dtype
+            assert not r.flags.writeable
+
+
+def svd_count(a, tol):
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > tol))
+
+
+def with_sigma_min(rng, m, n, factor, complex_input=False, top=1.0):
+    """An m x n matrix with singular values spread over [0.01, top] and the
+    smallest set to factor times the rank tolerance of the same matrix with
+    that singular value zero; factor None sets it to sqrt(eps) * top."""
+    def draw(k, j):
+        g = rng.standard_normal((k, j))
+        return g + 1j * rng.standard_normal((k, j)) if complex_input else g
+
+    u = np.linalg.qr(draw(m, n))[0]
+    v = np.linalg.qr(draw(n, n))[0]
+    s = top * np.geomspace(1.0, 0.01, n)
+    s[-1] = 0.0
+    if factor is None:
+        s[-1] = math.sqrt(EPS) * top
+    else:
+        s[-1] = factor * _rank_tolerance((u * s) @ v.conj().T, m)
+    return (u * s) @ v.conj().T
+
+
+def dependent_inputs(rng):
+    """Zero, duplicated and scaled-dependent columns, real and complex."""
+    out = []
+    for m, n in ((6, 3), (9, 9), (40, 5)):
+        for cplx in (False, True):
+            a = random_complex(rng, m, n) if cplx else rng.uniform(-1, 1, (m, n))
+            zero, dup, scaled = a.copy(), a.copy(), a.copy()
+            zero[:, n // 2] = 0.0
+            dup[:, -1] = dup[:, 0]
+            scaled[:, -1] = (3.0 - 2.0j if cplx else -3.0) * scaled[:, 0]
+            out += [zero, dup, scaled, np.zeros((m, n))]
+    return out
+
+
+class TestRankCertificate:
+    """The certificate returns n only where the SVD counts n singular values
+    above the tolerance, and _count_above always gives the SVD count."""
+
+    @staticmethod
+    def check(a, tol=None):
+        tol = _rank_tolerance(a, a.shape[0]) if tol is None else tol
+        count = svd_count(a, tol)
+        certified = _certifies_full_rank(a, tol)
+        assert not certified or count == a.shape[1]
+        assert _count_above(a, tol) == count
+        return certified
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("shape", [(8, 5), (12, 12), (30, 1), (200, 20)])
+    def test_near_the_tolerance(self, shape, complex_input):
+        rng = np.random.default_rng(71)
+        for factor in (0.5, 1.0, 2.0, 4.0, None):
+            for _ in range(5):
+                a = with_sigma_min(rng, *shape, factor, complex_input)
+                for scale in (1.0, 2.0**400, 2.0**-400):
+                    self.check(a * scale)
+
+    def test_tall_real_inputs_of_20000_rows(self):
+        # the matmul error grows with the row count m
+        rng = np.random.default_rng(73)
+        for factor in (0.5, 1.0, 2.0, 4.0, None):
+            self.check(with_sigma_min(rng, 20000, 11, factor))
+        a = rng.standard_normal((20000, 11))
+        assert self.check(a)
+        a[:, 5] = a[:, 2] - 2.0 * a[:, 7]
+        assert not self.check(a)
+
+    def test_dependent_columns(self):
+        for a in dependent_inputs(np.random.default_rng(79)):
+            for scale in (1.0, 2.0**400, 2.0**-400):
+                assert not self.check(a * scale)
+
+    def test_one_column_square_and_wide(self):
+        rng = np.random.default_rng(83)
+        for a in (np.ones((1, 1)), np.zeros((1, 1)), rng.standard_normal((5, 1)),
+                  np.full((4, 1), 1e-300), random_complex(rng, 7, 7), np.eye(3)):
+            self.check(a)
+        for m, n in ((2, 3), (5, 9), (1, 4)):
+            a = random_complex(rng, m, n)
+            assert not self.check(a)
+            assert _count_above(a, _rank_tolerance(a, m)) == m
+
+    def test_overflow_claims_nothing(self):
+        # squares beyond the double range: the Gram matrix holds inf and the
+        # rank tolerance is inf, so the SVD counts nothing above it
+        rng = np.random.default_rng(103)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in (1e200 * rng.standard_normal((6, 3)), 1e200 * random_complex(rng, 4, 4),
+                      np.full((3, 1), 1e160)):
+                assert not self.check(a)
+            a = rng.standard_normal((6, 3))
+            a[0, 0] = 1e160
+            assert not self.check(a, 1.0)
+        # column norms in range whose squares sum past it: no certificate,
+        # and no warning on the way to the SVD
+        a = 0.9e154 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        assert not self.check(a)
+        assert _count_above(a, _rank_tolerance(a, 2)) == 2
+
+    def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        inputs = [rng.standard_normal((50, 20)), random_complex(rng, 30, 30),
+                  householder_qr(random_complex(rng, 1000, 200))]
+        monkeypatch.setattr(np.linalg, "svd", None)
+        for a in inputs:
+            for scale in (1.0, 2.0**400, 2.0**-400):
+                assert _count_above(a * scale, _rank_tolerance(a * scale, a.shape[0])) == a.shape[1]
+
+    def test_shift_sets_the_threshold(self):
+        # sigma_min^2 at four times the shift certifies, at a quarter fails;
+        # at the rank tolerance the rounding term of the shift dominates, at
+        # a tolerance of 1e-3 the 4 tol^2 term does
+        rng = np.random.default_rng(97)
+        for cplx in (False, True):
+            for m, n in ((10, 4), (300, 30)):
+                base = with_sigma_min(rng, m, n, 0.0, cplx)
+                fro2 = float(np.sum(np.abs(base) ** 2))
+                u, s, vh = np.linalg.svd(base, full_matrices=False)
+                for tol in (_rank_tolerance(base, m), 1e-3):
+                    shift = 4.0 * tol * tol + 2.0 * (m + n + 2) * EPS * fro2
+                    for ratio, expected in ((4.0, True), (0.25, False)):
+                        s[-1] = math.sqrt(ratio * shift)
+                        assert self.check((u * s) @ vh, tol) is expected
+
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        complex_input=st.booleans(),
+        factor=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 1e3, None]),
+        dependent=st.sampled_from(["none", "zero", "duplicate", "scaled"]),
+        scale_exp=st.sampled_from([-400, 0, 400]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_sided_property(self, m, n, complex_input, factor, dependent, scale_exp, seed):
+        rng = np.random.default_rng(seed)
+        if m >= n:
+            a = with_sigma_min(rng, m, n, factor, complex_input)
+        else:
+            a = random_complex(rng, m, n) if complex_input else rng.uniform(-1, 1, (m, n))
+        if n > 1 and dependent == "zero":
+            a[:, 0] = 0.0
+        elif n > 1 and dependent == "duplicate":
+            a[:, -1] = a[:, 0]
+        elif n > 1 and dependent == "scaled":
+            a[:, -1] = -2.5 * a[:, 0]
+        self.check(a * 2.0**scale_exp)
 
 
 class TestGramLogDet:

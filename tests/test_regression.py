@@ -366,23 +366,26 @@ class TestRegressionReport:
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
         # the factorization decides no rank; the report and centered_rank
-        # run the two SVDs of the centered rank rule and no third, and the
+        # make the two counts of the centered rank rule and no third, and the
         # two rank functions count on the matrix itself, factoring nothing
+        import gramdist.qr as qr
         import gramdist.regression as reg
 
-        svd = np.linalg.svd
+        count_above = qr._count_above
         calls = []
         factored = []
+        svds = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def counted(a, tol):
+            calls.append(a.shape)
+            return count_above(a, tol)
 
         def counted_qr(a):
             factored.append(np.shape(a))
             return householder_qr(a)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(qr, "_count_above", counted)
+        monkeypatch.setattr(reg, "_count_above", counted)
         householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
         assert calls == []
         regression_report(line_fixture)
@@ -394,6 +397,17 @@ class TestRegressionReport:
         design_rank(line_fixture)
         assert len(calls) == 3
         assert factored == []
+        # where no certificate of full rank exists, the count reaches the SVD
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        x = np.column_stack([line_fixture.x[:, 0], 2.0 * line_fixture.x[:, 0]])
+        assert centered_rank(Dataset(x, line_fixture.y)) == 1
+        assert svds
 
     def test_large_offset_is_full_rank(self):
         # Centered, the regressors are plain Gaussians; the rank test on the

@@ -78,3 +78,12 @@ class TestRunner:
         monkeypatch.setattr(SplitMix64, "real_vector", lambda g, n: np.array([g.uniform() for _ in range(n)], np.float64))
         monkeypatch.setattr(SplitMix64, "complex_vector", lambda g, n: np.array([g.complex_disc() for _ in range(n)], np.complex128))
         assert run_all(seed=1, trials=20) == batched
+
+    def test_rank_certificate_leaves_the_suites_unchanged(self, monkeypatch):
+        # the same suites with every rank counted by the SVD alone must give
+        # the same results
+        import gramdist.qr as qr
+
+        certified = run_all(seed=1, trials=20)
+        monkeypatch.setattr(qr, "_certifies_full_rank", lambda a, tol: False)
+        assert run_all(seed=1, trials=20) == certified
