@@ -38,7 +38,6 @@ class CsvTable:
 
     header: tuple[str, ...]
     data: np.ndarray
-    mode: str
 
     @property
     def width(self) -> int:
@@ -152,4 +151,4 @@ def parse_csv(path, mode: str = "real") -> CsvTable:
     data = _parse_real_fast(lines, width) if mode == "real" else None
     if data is None:
         data = _parse_cells(lines, width, mode)
-    return CsvTable(header=header, data=_frozen(data), mode=mode)
+    return CsvTable(header=header, data=_frozen(data))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _frozen, _matrix, _vector, as_matrix, solve_hermitian_psd
+from .linalg import LogDet, _array, _frozen, solve_hermitian_psd
 from .qr import _rank_of_r, _rank_tolerance, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
@@ -47,8 +47,8 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
     Neither is copied: every caller only reads them, and keeps neither.
     """
-    mat = _matrix(a, copy=False)
-    vec = _vector(b, copy=False)
+    mat = _array(a, 2)
+    vec = _array(b, 1)
     if vec.shape[0] != mat.shape[0]:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
@@ -126,10 +126,9 @@ def distance_qr(a, b) -> DistanceResult:
     column.  After the first n reflectors the tail of the transformed b is
     the residual; the final reflector collapses that tail into the single
     entry r[n, n], which is at once the (n+1)-th coordinate (m = n+1) and
-    the tail norm (m > n+1).  When (A|b) has full rank at tolerance, so does
-    A (its singular values interlace those of (A|b)), and the distance is
-    |r[n, n]|.  Otherwise the column span of A is Q times the range of
-    R11 = r[:n, :n], and the part of r[:n, n] outside that range is
+    the tail norm (m > n+1).  When A has full rank at tolerance, the
+    distance is |r[n, n]|.  Otherwise the column span of A is Q times the
+    range of R11 = r[:n, :n], and the part of r[:n, n] outside that range is
     unmatched as well:
 
         value^2 = |r[n, n]|^2  +  ||U[:, k:]* r[:n, n]||^2
@@ -143,24 +142,28 @@ def distance_qr(a, b) -> DistanceResult:
     m, n = aug.shape[0], aug.shape[1] - 1
     r = householder_qr(aug)
     value = float(abs(r[n, n]))
-    if _rank_of_r(r, m) < n + 1:
-        r11 = r[:n, :n]
+    r11 = r[:n, :n]
+    if _rank_of_r(r11, m) < n:
         u, s, _ = np.linalg.svd(r11)
         k = int(np.sum(s > _rank_tolerance(r11, m)))
         value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ r[:n, n])))
     return DistanceResult(value, "qr_coordinate")
 
 
-def _minor_logdets(mat: np.ndarray) -> list[LogDet]:
-    """The determinants of the n+1 row-deleted minors of an (n+1) x n matrix,
-    each by LU as :func:`~gramdist.linalg.det_lu` computes it, stacked into
-    one (n+1, n, n) slogdet call; an exactly singular minor is the exact zero."""
-    m = mat.shape[0]
+def _minor_logdets(a) -> tuple[np.ndarray, list[LogDet]]:
+    """A validated as an (n+1) x n matrix, and the determinants of its n+1
+    row-deleted minors, each by LU as :func:`~gramdist.linalg.det_lu`
+    computes it, stacked into one (n+1, n, n) slogdet call; an exactly
+    singular minor is the exact zero."""
+    mat = _array(a, 2)
+    m, n = mat.shape
+    if m != n + 1:
+        raise ShapeError(f"need an (n+1) x n matrix, got {mat.shape}")
     rows = np.arange(m)
     # row i of kept lists every row index but i
-    kept = np.broadcast_to(rows, (m, m))[rows[:, None] != rows].reshape(m, m - 1)
+    kept = np.broadcast_to(rows, (m, m))[rows[:, None] != rows].reshape(m, n)
     signs, log_mags = np.linalg.slogdet(mat[kept])
-    return [
+    return mat, [
         LogDet.zero() if sign == 0 else LogDet(complex(sign), float(log_mag))
         for sign, log_mag in zip(signs, log_mags)
     ]
@@ -177,12 +180,10 @@ def orthogonal_minor_vector(a) -> np.ndarray:
     constant sign would not.  Raises OverflowError when a minor's magnitude
     exceeds the double range.
     """
-    mat = as_matrix(a)
-    m, n = mat.shape
-    if m != n + 1:
-        raise ShapeError(f"need an (n+1) x n matrix, got {mat.shape}")
-    signs = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(m)])
-    vals = np.array([ld.value() for ld in _minor_logdets(mat)], np.complex128)
+    mat, minors = _minor_logdets(a)
+    n = mat.shape[1]
+    signs = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(n + 1)])
+    vals = np.array([ld.value() for ld in minors], np.complex128)
     out = signs * np.conj(vals)
     if not np.iscomplexobj(mat):
         out = out.real
@@ -192,23 +193,13 @@ def orthogonal_minor_vector(a) -> np.ndarray:
 def minor_sum(a) -> float:
     """Sum of squared magnitudes of the n+1 row-deleted minor determinants.
 
-    Accumulated as a shifted compensated sum in the log domain, so individual
-    minors far above or below unit scale do not poison the intermediate
-    terms.  Only the final result must fit a double.
+    Accumulated as an exactly rounded sum (``math.fsum``) of terms shifted
+    in the log domain, so individual minors far above or below unit scale do
+    not poison the intermediate terms.  Only the final result must fit a
+    double.
     """
-    mat = as_matrix(a)
-    m, n = mat.shape
-    if m != n + 1:
-        raise ShapeError(f"need an (n+1) x n matrix, got {mat.shape}")
-    logs = [2.0 * ld.log_mag for ld in _minor_logdets(mat) if not ld.is_zero]
+    logs = [2.0 * ld.log_mag for ld in _minor_logdets(a)[1] if not ld.is_zero]
     if not logs:
         return 0.0
     shift = max(logs)
-    total = 0.0
-    carry = 0.0
-    for lg in logs:
-        term = math.exp(lg - shift) - carry
-        acc = total + term
-        carry = (acc - total) - term
-        total = acc
-    return math.exp(shift + math.log(total))
+    return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in logs)))

@@ -1,9 +1,11 @@
-"""Dense matrix arithmetic: validated immutable arrays, determinants kept in
-log form, and hermitian positive-definite solves, both on LAPACK.
+"""Dense matrix arithmetic: validated arrays, determinants kept in log
+form, and hermitian positive-definite solves, both on LAPACK.
 
-Inputs are validated and copied, except where a caller only reads them;
-outputs come back with the writeable flag cleared, so every operation
-behaves as a pure function over values.
+Operands are validated without a copy: every routine here and in the
+modules built on it only reads its input, and LAPACK factors a copy of its
+own.  Only :func:`as_matrix` and ``regression.Dataset`` copy, since they
+keep or hand out the array.  Outputs come back with the writeable flag
+cleared, so every operation behaves as a pure function over values.
 """
 
 from __future__ import annotations
@@ -25,36 +27,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _matrix(a, copy: bool) -> np.ndarray:
-    """The checks and dtype of :func:`as_matrix`, returned writeable.
+def _array(a, ndim: int) -> np.ndarray:
+    """a as a float64 or complex128 array of ndim (1 or 2) dimensions, each
+    positive, with finite entries.
 
-    With copy=False a float64 or complex128 ndarray comes back as itself,
-    for callers that only read it; other input is converted into a new array.
+    A float64 or complex128 ndarray comes back as itself, never copied;
+    other input is converted into a new array.
     """
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={arr.ndim}")
-    m, n = arr.shape
-    if m < 1 or n < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {arr.shape}")
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    out = arr.astype(dtype, copy=copy)
+    if arr.ndim != ndim:
+        raise ShapeError(f"expected a {ndim}-d array, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ShapeError(f"matrix dimensions must be positive, got {arr.shape}"
+                         if ndim == 2 else "vector length must be positive")
+    out = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite")
-    return out
-
-
-def _vector(a, copy: bool) -> np.ndarray:
-    """:func:`_matrix` for the 1-d rules of :func:`as_vector`."""
-    arr = np.asarray(a)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-d array, got ndim={arr.ndim}")
-    if arr.shape[0] < 1:
-        raise ShapeError("vector length must be positive")
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    out = arr.astype(dtype, copy=copy)
-    if not np.isfinite(out).all():
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{'matrix' if ndim == 2 else 'vector'} entries must be finite")
     return out
 
 
@@ -63,26 +51,7 @@ def as_matrix(a) -> np.ndarray:
 
     Rejects empty axes and any non-finite entry.
     """
-    return _frozen(_matrix(a, copy=True))
-
-
-def as_vector(a) -> np.ndarray:
-    """Validate a 1-d array-like; same rules as :func:`as_matrix`."""
-    return _frozen(_vector(a, copy=True))
-
-
-def as_real_matrix(a) -> np.ndarray:
-    """Like :func:`as_matrix` but rejects complex input."""
-    if np.iscomplexobj(np.asarray(a)):
-        raise TypeError("expected real data, got complex")
-    return as_matrix(a)
-
-
-def as_real_vector(a) -> np.ndarray:
-    """Like :func:`as_vector` but rejects complex input."""
-    if np.iscomplexobj(np.asarray(a)):
-        raise TypeError("expected real data, got complex")
-    return as_vector(a)
+    return _frozen(_array(a, 2).copy(order="K"))
 
 
 @dataclass(frozen=True)
@@ -117,13 +86,6 @@ class LogDet:
     def zero(cls) -> "LogDet":
         return cls(0j, -math.inf)
 
-    @classmethod
-    def from_value(cls, value) -> "LogDet":
-        z = complex(value)
-        if z == 0:
-            return cls.zero()
-        return cls(z / abs(z), math.log(abs(z)))
-
     @property
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf
@@ -154,7 +116,7 @@ def det_lu(m) -> LogDet:
 
     An exactly singular factor gives the exact zero determinant.
     """
-    a = as_matrix(m)
+    a = _array(m, 2)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"determinant needs a square matrix, got {a.shape}")
     sign, log_mag = np.linalg.slogdet(a)
@@ -170,8 +132,8 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
     or below it, or a factorization that fails outright, raises
     :class:`NotPositiveDefinite`.  Real inputs give a real solution.
     """
-    hm = as_matrix(h)
-    b = as_vector(rhs)
+    hm = _array(h, 2)
+    b = _array(rhs, 1)
     n = hm.shape[0]
     if hm.shape[1] != n:
         raise NotSquare(f"expected a square matrix, got {hm.shape}")

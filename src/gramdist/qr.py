@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import EPS, LogDet, _frozen, _matrix
+from .linalg import EPS, LogDet, _array, _frozen
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
@@ -112,10 +112,10 @@ def householder_qr(a) -> np.ndarray:
     """The read-only n x n triangular factor R of A = Q R, by unpivoted
     Householder QR (LAPACK geqrf); columns stay in the caller's order.
 
-    A is validated as :func:`~gramdist.linalg.as_matrix` does but not
-    copied: LAPACK factors a copy of its own and never writes to A.
+    A is validated but not copied: LAPACK factors a copy of its own and
+    never writes to A.
     """
-    mat = _matrix(a, copy=False)
+    mat = _array(a, 2)
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")

@@ -21,8 +21,15 @@ from .errors import (
     ZeroProjection,
     ZeroVariance,
 )
-from .linalg import EPS, _frozen, as_real_matrix, as_real_vector, solve_hermitian_psd
+from .linalg import EPS, _array, _frozen, solve_hermitian_psd
 from .qr import _count_above, _rank_of_r, householder_qr
+
+
+def _real(a, ndim: int) -> np.ndarray:
+    """a validated as a real float64 array of ndim dimensions, not copied."""
+    if np.iscomplexobj(a):
+        raise TypeError("expected real data, got complex")
+    return _array(a, ndim)
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,8 @@ class Dataset:
     """A real sample matrix with one target column.
 
     names lists the n regressor labels followed by the target label; when
-    omitted they default to x1..xn, y.
+    omitted they default to x1..xn, y.  x and y are kept as read-only
+    copies, so later writes to the caller's arrays do not reach them.
     """
 
     x: np.ndarray
@@ -38,8 +46,10 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = as_real_matrix(self.x)
-        y = as_real_vector(self.y)
+        # order K keeps the caller's memory layout: the BLAS and LAPACK
+        # results on x depend on it in the last bit
+        x = _frozen(_real(self.x, 2).copy(order="K"))
+        y = _frozen(_real(self.y, 1).copy())
         if y.shape[0] != x.shape[0]:
             raise DimensionMismatch(
                 f"target length {y.shape[0]} does not match sample count {x.shape[0]}"
@@ -162,7 +172,7 @@ def normal_solve(d: Dataset) -> np.ndarray:
 
 def loss_value_residual(d: Dataset, a) -> float:
     """Exact residual norm ||(1|X) a - y|| for a given coefficient vector."""
-    av = as_real_vector(a)
+    av = _real(a, 1)
     if av.shape[0] != d.n + 1:
         raise DimensionMismatch(
             f"expected {d.n + 1} coefficients, got {av.shape[0]}"

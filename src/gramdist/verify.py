@@ -65,11 +65,11 @@ def _unitary(rng: SplitMix64, m: int) -> np.ndarray:
     return np.linalg.qr(rng.complex_matrix(m, m))[0]
 
 
-def _random_report(rng: SplitMix64, max_m: int = 40, max_n: int = 8) -> tuple[Dataset, RegressionReport]:
+def _random_report(rng: SplitMix64) -> tuple[Dataset, RegressionReport]:
     """The first drawn dataset whose regression report accepts its rank,
     with that report."""
-    n = rng.randint(1, max_n)
-    m = rng.randint(n + 2, max_m)
+    n = rng.randint(1, 8)
+    m = rng.randint(n + 2, 40)
     for _ in range(64):
         d = Dataset(rng.real_matrix(m, n), rng.real_vector(m))
         try:

@@ -25,9 +25,6 @@ PUBLIC = [
     "ZeroProjection",
     "ZeroVariance",
     "as_matrix",
-    "as_real_matrix",
-    "as_real_vector",
-    "as_vector",
     "augment",
     "centered_rank",
     "derive_seed",

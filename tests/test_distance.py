@@ -206,6 +206,18 @@ class TestDistanceQr:
                 r = distance_qr(a, b)
                 assert abs(r.value - span_distance(a, b)) <= 1e-10
 
+    def test_b_in_span_of_full_rank_a_needs_no_svd(self, monkeypatch):
+        # full rank of A settles the distance as |r[n, n]| however dependent
+        # (A|b) is, and the rank of A is certified without an SVD
+        rng = np.random.default_rng(13)
+        a = random_complex(rng, 30, 5)
+        b = a @ random_cvec(rng, 5)
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        assert distance_qr(a, b).value <= 1e-13 * np.linalg.norm(b)
+        assert calls == []
+
 
 class TestDistanceProperties:
     def test_product_identity_including_rank_deficient(self):
