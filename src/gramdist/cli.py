@@ -135,8 +135,8 @@ def _cmd_dist(args) -> int:
     b = bm[:, 0]
     code = EXIT_OK
     values = {}
-    # one pair of factorizations gives both the determinant-route distance
-    # and the log-determinants reported below
+    # one tall QR of (b|A) and one (n+1) x n QR give both the
+    # determinant-route distance and the log-determinants reported below
     ld_a, ld_ab = gram_logdets(a, b)
     try:
         values["distance_det"] = _det_ratio(ld_a, ld_ab)

@@ -10,6 +10,19 @@ The three routes:
                              from the normal equations; needs full rank.
 * ``distance_qr``         -- trailing coordinates of the unpivoted
                              triangularization of (A|b); no rank requirement.
+
+``distance_det`` factors one tall matrix.  With (b|A) = Q R for an m x n A
+and m >= n + 1, A = Q R[:, 1:], so A* A = M* M for the (n+1) x n block
+M = R[:, 1:]: A's Gram determinant is read off a QR of M, at O(n^3) cost
+instead of O(m n^2).  Re-triangularizing M composes two unitary
+reductions, so its factor is a backward-stable R factor of A (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 19).
+
+The routes stay independent: the determinant route reads only the factor
+of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
+only the Gram matrix A* A.  No route reuses another's factor, so the
+identities that ``verify`` checks between them compare different roundings
+and hold by no construction.
 """
 
 from __future__ import annotations
@@ -62,23 +75,27 @@ def augment(a, b) -> np.ndarray:
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
-    """Log determinants of A* A and of (A|b)* (A|b), via QR.
+    """Log determinants of A* A and of (A|b)* (A|b), from one tall QR.
 
-    The augmented Gram determinant is read off the factor of (b|A), which
-    has the same determinant: factoring (A|b) would repeat A's factor in its
-    leading block bit for bit, and the product identity that ``verify``
-    checks between this and :func:`distance_qr` would hold by construction.
-    For a square A the augmented columns are necessarily dependent, so the
-    augmented Gram determinant is exactly zero.
+    For m >= n + 1 rows, (b|A) = Q R is factored once, and the augmented
+    Gram determinant is read off R.  Since A = Q R[:, 1:], A* A is the Gram
+    matrix of the (n+1) x n block R[:, 1:], whose own triangular factor
+    gives A's determinant; its rank is decided with A's row count m, so the
+    rank tolerance is A's own.  Factoring (b|A) rather than (A|b) keeps this
+    route apart from :func:`distance_qr`: the factor of (A|b) would repeat
+    A's factor in its leading block bit for bit, and the product identity
+    that ``verify`` checks between the two would hold by construction.
+
+    A square A is factored directly; its augmented columns are necessarily
+    dependent, so the augmented Gram determinant is exactly zero.  A wide A
+    is rejected by the factorization.
     """
     mat, vec = _operands(a, b)
     m, n = mat.shape
-    ld_a = gram_logdet(householder_qr(mat), m)
-    if m >= n + 1:
-        ld_ab = gram_logdet(householder_qr(np.column_stack([vec, mat])), m)
-    else:
-        ld_ab = LogDet.zero()
-    return ld_a, ld_ab
+    if m <= n:
+        return gram_logdet(householder_qr(mat), m), LogDet.zero()
+    r = householder_qr(np.column_stack([vec, mat]))
+    return gram_logdet(householder_qr(r[:, 1:]), m), gram_logdet(r, m)
 
 
 def _det_ratio(ld_a: LogDet, ld_ab: LogDet) -> float:

@@ -26,8 +26,16 @@ _ETA = 2.0**-1074
 
 
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
-    """max(m, n) * eps * (largest column norm) of A, from A or its factor R."""
-    return max(rows, r.shape[1]) * EPS * float(np.max(np.linalg.norm(r, axis=0)))
+    """max(m, n) * eps * (largest column norm) of A, from A or its factor R.
+
+    A column norm whose square overflows is recomputed on r / max|r| and
+    scaled back, so the tolerance overflows only where that norm does.
+    """
+    top = float(np.max(np.linalg.norm(r, axis=0)))
+    if top == math.inf:
+        big = float(np.max(np.abs(r)))
+        top = big * float(np.max(np.linalg.norm(r / big, axis=0)))
+    return max(rows, r.shape[1]) * EPS * top
 
 
 def _rank_of_r(r: np.ndarray, rows: int) -> int:

@@ -18,7 +18,9 @@ from gramdist import (
     distance_det,
     distance_projection,
     distance_qr,
+    gram_logdet,
     gram_logdets,
+    householder_qr,
     minor_sum,
     orthogonal_minor_vector,
 )
@@ -310,7 +312,7 @@ class TestDistanceProperties:
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, np.shape(args[0])))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -321,14 +323,21 @@ class TestDistanceProperties:
         rng = np.random.default_rng(43)
         a = random_complex(rng, 9, 4)
         b = random_cvec(rng, 9)
+        # the determinant route factors the tall (b|A) and the 5 x 4 block
+        # of its factor, never the 9 x 4 A itself
+        tall, small = ("householder_qr", (9, 5)), ("householder_qr", (5, 4))
         for fn, expected in (
-            (distance_det, ["householder_qr"] * 2),
-            (distance_qr, ["householder_qr"]),
+            (distance_det, [tall, small]),
+            (distance_qr, [tall]),
             (distance_projection, []),
         ):
             calls.clear()
             fn(a, b)
             assert calls == expected, fn.__name__
+        square = random_complex(rng, 4, 4)
+        calls.clear()
+        distance_det(square, b[:4])
+        assert calls == [("householder_qr", (4, 4))]
 
         def cell(z):
             z = complex(z)
@@ -341,7 +350,7 @@ class TestDistanceProperties:
         calls.clear()
         argv = ["dist", "--matrix", str(tmp_path / "a.csv"), "--vector", str(tmp_path / "b.csv")]
         assert gramdist.cli.main(argv) == 0
-        assert calls == ["householder_qr"] * 3
+        assert calls == [tall, small, tall]
 
     def test_gram_logdets_square_matrix_augments_to_zero(self):
         rng = np.random.default_rng(29)
@@ -350,6 +359,99 @@ class TestDistanceProperties:
         ld_a, ld_ab = gram_logdets(a, b)
         assert not ld_a.is_zero
         assert ld_ab.is_zero
+
+
+class TestGramLogdets:
+    """A's Gram determinant read off the (n+1) x n block R[:, 1:] of the
+    factor of (b|A), against A's own factor and against LU."""
+
+    @staticmethod
+    def draw(rng, m, n, complex_input):
+        if complex_input:
+            return random_complex(rng, m, n), random_cvec(rng, m)
+        return rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)
+
+    @staticmethod
+    def direct_logdet(a):
+        return gram_logdet(householder_qr(a), a.shape[0]).log_mag
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 1), (6, 3), (30, 5), (200, 20)])
+    def test_agrees_with_the_direct_factor(self, shape, complex_input):
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            a, b = self.draw(rng, *shape, complex_input)
+            ld_a, ld_ab = gram_logdets(a, b)
+            assert abs(ld_a.log_mag - self.direct_logdet(a)) <= 1e-12
+            assert abs(ld_ab.log_mag - self.direct_logdet(augment(a, b))) <= 1e-12
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_square_augmented_matrix(self, complex_input):
+        # m = n + 1: (b|A) is square, with Gram determinant |det(b|A)|^2
+        rng = np.random.default_rng(53)
+        for n in (1, 3, 6):
+            a, b = self.draw(rng, n + 1, n, complex_input)
+            ld_a, ld_ab = gram_logdets(a, b)
+            assert abs(ld_ab.log_mag - 2.0 * np.linalg.slogdet(augment(a, b))[1]) <= 1e-12
+            assert abs(ld_a.log_mag - self.direct_logdet(a)) <= 1e-12
+            qr = distance_qr(a, b).value
+            assert abs(distance_det(a, b).value - qr) <= 1e-12 * qr
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_zero_vector(self, complex_input):
+        rng = np.random.default_rng(59)
+        for m, n in ((6, 5), (30, 5)):
+            a, _ = self.draw(rng, m, n, complex_input)
+            ld_a, ld_ab = gram_logdets(a, np.zeros(m))
+            assert ld_ab.is_zero
+            assert abs(ld_a.log_mag - self.direct_logdet(a)) <= 1e-12
+            assert distance_det(a, np.zeros(m)).value == 0.0
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_vector_in_the_span(self, complex_input):
+        rng = np.random.default_rng(61)
+        for m, n in ((6, 5), (30, 5)):
+            a, _ = self.draw(rng, m, n, complex_input)
+            b = a @ self.draw(rng, n, 1, complex_input)[1]
+            ld_a, ld_ab = gram_logdets(a, b)
+            assert ld_ab.is_zero and not ld_a.is_zero
+            assert distance_det(a, b).value == 0.0
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_rank_deficient_tall_matrix_raises(self, complex_input):
+        rng = np.random.default_rng(67)
+        for m, n in ((7, 5), (30, 5), (200, 20)):
+            a, b = self.draw(rng, m, n, complex_input)
+            zero, dup, scaled = a.copy(), a.copy(), a.copy()
+            zero[:, n // 2] = 0.0
+            dup[:, -1] = dup[:, 0]
+            scaled[:, 1] = (3.0 - 2.0j if complex_input else -3.0) * scaled[:, 0]
+            for bad in (zero, dup, scaled):
+                assert gram_logdets(bad, b)[0].is_zero
+                with pytest.raises(RankDeficient):
+                    distance_det(bad, b)
+
+
+class TestScaledInputs:
+    """Column norms whose squares overflow: the rank tolerance is taken on
+    the scaled-down matrix, so both factor routes scale with the input."""
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_factor_routes_scale_with_the_input(self, scale, complex_input):
+        rng = np.random.default_rng(71)
+        a = random_complex(rng, 30, 5) if complex_input else rng.uniform(-1, 1, (30, 5))
+        b = random_cvec(rng, 30) if complex_input else rng.uniform(-1, 1, 30)
+        ref = scale * distance_qr(a, b).value
+        # the squares overflow on the way: the Gram matrix of the
+        # certificate holds inf, and the SVD settles the rank
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = distance_det(a * scale, b * scale).value
+            qr = distance_qr(a * scale, b * scale).value
+        assert abs(qr - ref) <= 1e-13 * ref
+        # the log magnitudes are near 2 (n + 1) ln(scale), about 8300 at
+        # 1e300, and round relative to that
+        assert abs(det - ref) <= 1e-11 * ref
 
 
 class TestOrthogonalMinorVector:

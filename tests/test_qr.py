@@ -265,8 +265,8 @@ class TestRankCertificate:
             assert _count_above(a, _rank_tolerance(a, m)) == m
 
     def test_overflow_claims_nothing(self):
-        # squares beyond the double range: the Gram matrix holds inf and the
-        # rank tolerance is inf, so the SVD counts nothing above it
+        # squares beyond the double range: the Gram matrix holds inf, so the
+        # certificate claims nothing and the SVD counts
         rng = np.random.default_rng(103)
         with np.errstate(over="ignore", invalid="ignore"):
             for a in (1e200 * rng.standard_normal((6, 3)), 1e200 * random_complex(rng, 4, 4),
@@ -280,6 +280,20 @@ class TestRankCertificate:
         a = 0.9e154 * np.array([[1.0, 1.0], [1.0, -1.0]])
         assert not self.check(a)
         assert _count_above(a, _rank_tolerance(a, 2)) == 2
+
+    def test_tolerance_survives_overflowing_squares(self):
+        # exact power-of-two scalings: column norms up to about 1e302, whose
+        # squares overflow, give the scaled tolerance to a few ulps and the
+        # full count
+        rng = np.random.default_rng(107)
+        for a, m in ((rng.standard_normal((30, 5)), 30), (random_complex(rng, 12, 12), 12),
+                     (householder_qr(random_complex(rng, 40, 6)), 40)):
+            tol = _rank_tolerance(a, m)
+            for k in (520, 1000):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = _rank_tolerance(a * 2.0**k, m)
+                    assert _count_above(a * 2.0**k, scaled) == a.shape[1]
+                assert abs(scaled / (tol * 2.0**k) - 1.0) <= 4 * EPS
 
     def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
         rng = np.random.default_rng(89)
