@@ -19,7 +19,6 @@ from .errors import (
 from .linalg import (
     EPS,
     LogDet,
-    as_matrix,
     det_lu,
     solve_hermitian_psd,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SUITE_NAMES",
     "ZeroProjection",
     "ZeroVariance",
-    "as_matrix",
     "augment",
     "centered_rank",
     "derive_seed",

@@ -30,7 +30,7 @@ from .distance import _det_ratio, distance_projection, distance_qr, gram_logdets
 from .errors import GramDistError, RankDeficient, ShapeError, ZeroVariance
 from .qr import gram_logdet, householder_qr
 from .regression import Dataset, regression_report
-from .verify import SUITE_NAMES, run_all
+from .verify import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -243,19 +243,9 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials <= 0:
-        raise GramDistError("trials must be a positive integer")
     if not 0 <= args.seed < 2**64:
         raise GramDistError("seed must fit in 64 unsigned bits")
-    overrides = {}
-    for item in args.tolerance or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise GramDistError(f"tolerance override must look like name=value, got {item!r}")
-        if name not in SUITE_NAMES:
-            raise GramDistError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-        overrides[name] = float(value)
-    suites = run_all(seed=args.seed, trials=args.trials, tolerances=overrides)
+    suites = run_all(seed=args.seed, trials=args.trials)
     all_pass = all(s.passed for s in suites)
     code = EXIT_OK if all_pass else EXIT_VERIFY
     results = {
@@ -318,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the seeded property suites")
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--trials", type=int, default=500)
-    p_ver.add_argument("--tolerance", action="append", metavar="SUITE=VALUE",
-                       help="override one suite's tolerance (repeatable)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

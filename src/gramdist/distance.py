@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
 from .linalg import LogDet, _array, _frozen, solve_hermitian_psd
-from .qr import _rank_of_r, _rank_tolerance, gram_logdet, householder_qr
+from .qr import _certifies_full_rank, _rank_tolerance, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -128,12 +128,20 @@ def distance_projection(a, b) -> DistanceResult:
     reported as :class:`RankDeficient`.
     """
     mat, vec = _operands(a, b)
+    x = _normal_solution(mat, vec)
+    return DistanceResult(float(np.linalg.norm(vec - mat @ x)), "projection")
+
+
+def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
+
+    A failed factorization is reported as :class:`RankDeficient`.
+    """
     at = mat.conj().T
     try:
-        x = solve_hermitian_psd(at @ mat, at @ vec)
+        return solve_hermitian_psd(at @ mat, at @ vec)
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
-    return DistanceResult(float(np.linalg.norm(vec - mat @ x)), "projection")
 
 
 def distance_qr(a, b) -> DistanceResult:
@@ -160,9 +168,12 @@ def distance_qr(a, b) -> DistanceResult:
     r = householder_qr(aug)
     value = float(abs(r[n, n]))
     r11 = r[:n, :n]
-    if _rank_of_r(r11, m) < n:
+    tol = _rank_tolerance(r11, m)
+    if not _certifies_full_rank(r11, tol):
+        # one SVD decides k and gives U; at k == n, U[:, k:] is empty and
+        # the hypot returns value exactly
         u, s, _ = np.linalg.svd(r11)
-        k = int(np.sum(s > _rank_tolerance(r11, m)))
+        k = int(np.sum(s > tol))
         value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ r[:n, n])))
     return DistanceResult(value, "qr_coordinate")
 

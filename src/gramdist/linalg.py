@@ -3,9 +3,9 @@ form, and hermitian positive-definite solves, both on LAPACK.
 
 Operands are validated without a copy: every routine here and in the
 modules built on it only reads its input, and LAPACK factors a copy of its
-own.  Only :func:`as_matrix` and ``regression.Dataset`` copy, since they
-keep or hand out the array.  Outputs come back with the writeable flag
-cleared, so every operation behaves as a pure function over values.
+own.  Only ``regression.Dataset`` copies, since it keeps the array.
+Outputs come back with the writeable flag cleared, so every operation
+behaves as a pure function over values.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ def _array(a, ndim: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{'matrix' if ndim == 2 else 'vector'} entries must be finite")
     return out
-
-
-def as_matrix(a) -> np.ndarray:
-    """Validate a 2-d array-like and return a read-only float64/complex128 copy.
-
-    Rejects empty axes and any non-finite entry.
-    """
-    return _frozen(_array(a, 2).copy(order="K"))
 
 
 @dataclass(frozen=True)

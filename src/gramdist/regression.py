@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    RankDeficient,
-    ZeroProjection,
-    ZeroVariance,
-)
-from .linalg import EPS, _array, _frozen, solve_hermitian_psd
+from .distance import _normal_solution
+from .errors import DimensionMismatch, RankDeficient, ZeroProjection, ZeroVariance
+from .linalg import EPS, _array, _frozen
 from .qr import _count_above, _rank_of_r, householder_qr
 
 
@@ -38,7 +33,8 @@ class Dataset:
 
     names lists the n regressor labels followed by the target label; when
     omitted they default to x1..xn, y.  x and y are kept as read-only
-    copies, so later writes to the caller's arrays do not reach them.
+    copies, x in column-major order, so later writes to the caller's arrays
+    do not reach them.
     """
 
     x: np.ndarray
@@ -46,9 +42,10 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # order K keeps the caller's memory layout: the BLAS and LAPACK
-        # results on x depend on it in the last bit
-        x = _frozen(_real(self.x, 2).copy(order="K"))
+        # one layout whatever the caller's: the BLAS and LAPACK results on x
+        # depend on it in the last bit, and column-major is the layout of the
+        # CLI's column selection
+        x = _frozen(np.array(_real(self.x, 2), order="F"))
         y = _frozen(_real(self.y, 1).copy())
         if y.shape[0] != x.shape[0]:
             raise DimensionMismatch(
@@ -147,12 +144,7 @@ def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _solve_centered(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    gram = xc.T @ xc
-    rhs = xc.T @ yc
-    try:
-        a1 = solve_hermitian_psd(gram, rhs)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(str(exc)) from exc
+    a1 = _normal_solution(xc, yc)
     alpha0 = float(d.y.mean()) - float(a1 @ d.x.mean(axis=0))
     return _frozen(np.concatenate([[alpha0], a1]))
 

@@ -280,16 +280,16 @@ SUITES = (
 SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
 
-def run_suite(name: str, seed: int = 42, trials: int = 500, tolerance: float | None = None) -> SuiteResult:
-    """Run one named suite; trial t draws from derive_seed(seed, index, t)."""
+def run_suite(name: str, seed: int = 42, trials: int = 500) -> SuiteResult:
+    """Run one named suite at its registry tolerance; trial t draws from
+    derive_seed(seed, index, t)."""
     if trials <= 0:
         raise ValueError("trials must be a positive integer")
-    for index, (suite_name, fn, default_tol) in enumerate(SUITES):
+    for index, (suite_name, fn, tol) in enumerate(SUITES):
         if suite_name == name:
             break
     else:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    tol = default_tol if tolerance is None else float(tolerance)
     failures = 0
     max_dev = 0.0
     for t in range(trials):
@@ -302,13 +302,6 @@ def run_suite(name: str, seed: int = 42, trials: int = 500, tolerance: float | N
     return SuiteResult(name, trials, failures, max_dev, tol)
 
 
-def run_all(seed: int = 42, trials: int = 500, tolerances: dict[str, float] | None = None) -> list[SuiteResult]:
+def run_all(seed: int = 42, trials: int = 500) -> list[SuiteResult]:
     """Run every suite in registry order with a shared seed and trial count."""
-    tolerances = tolerances or {}
-    unknown = set(tolerances) - set(SUITE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown suite names in tolerance overrides: {sorted(unknown)}")
-    return [
-        run_suite(name, seed=seed, trials=trials, tolerance=tolerances.get(name))
-        for name in SUITE_NAMES
-    ]
+    return [run_suite(name, seed=seed, trials=trials) for name in SUITE_NAMES]

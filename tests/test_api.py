@@ -1,5 +1,6 @@
-"""The public surface of the package, pinned: a change to ``__all__`` shows
-up as a change to the list below."""
+"""The public surface of the package and of the command line, pinned: a
+change to ``__all__`` or to a subcommand's options shows up as a change to
+the lists below."""
 
 import gramdist
 
@@ -24,7 +25,6 @@ PUBLIC = [
     "SuiteResult",
     "ZeroProjection",
     "ZeroVariance",
-    "as_matrix",
     "augment",
     "centered_rank",
     "derive_seed",
@@ -57,3 +57,27 @@ def test_public_surface_is_pinned():
     assert sorted(gramdist.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(gramdist, name)
+
+
+# The command-line surface, pinned the same way: each subcommand's option
+# strings, help left out.
+OPTIONS = {
+    "dist": ["--format", "--matrix", "--vector"],
+    "gram-check": ["--format", "--matrix"],
+    "regress": ["--coefficients", "--data", "--format", "--no-solve", "--target"],
+    "verify": ["--format", "--seed", "--trials"],
+}
+
+
+def test_cli_options_are_pinned():
+    import argparse
+
+    from gramdist.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                     for s in a.option_strings)
+        for name, parser in sub.choices.items()
+    }
+    assert found == OPTIONS

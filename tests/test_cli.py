@@ -240,14 +240,16 @@ class TestVerify:
         code, _ = run(capsys, ["verify", "--trials", "0"])
         assert code == 1
 
-    def test_unknown_tolerance_suite_rejected(self, capsys):
-        code, _ = run(capsys, ["verify", "--trials", "5", "--tolerance", "nope=1e-3"])
-        assert code == 1
+    def test_impossible_tolerance_fails_with_4(self, capsys, monkeypatch):
+        import gramdist.verify
 
-    def test_impossible_tolerance_fails_with_4(self, capsys):
-        code, out = run(capsys, ["verify", "--trials", "5", "--tolerance", "distance_product_identity=1e-30"])
+        suites = [(name, fn, 1e-30 if name == "distance_product_identity" else tol)
+                  for name, fn, tol in gramdist.verify.SUITES]
+        monkeypatch.setattr(gramdist.verify, "SUITES", tuple(suites))
+        code, out = run(capsys, ["verify", "--trials", "5"])
         assert code == 4
-        assert "result: FAIL" in out
+        assert "distance_product_identity: FAIL" in out
+        assert "result: FAIL suites=10 failed=1" in out
 
     def test_json_schema(self, capsys):
         code, out = run(capsys, ["verify", "--trials", "5", "--format", "json"])

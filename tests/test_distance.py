@@ -220,6 +220,31 @@ class TestDistanceQr:
         assert distance_qr(a, b).value <= 1e-13 * np.linalg.norm(b)
         assert calls == []
 
+    def test_rank_deficient_a_runs_one_svd(self, monkeypatch):
+        # the failed certificate is followed by one SVD, which both counts
+        # the rank and gives U
+        rng = np.random.default_rng(17)
+        a = random_complex(rng, 9, 4)
+        a[:, 3] = a[:, 1] * (0.5 - 2j)
+        b = random_cvec(rng, 9)
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        value = distance_qr(a, b).value
+        assert len(calls) == 1
+        assert abs(value - span_distance(a, b)) <= 1e-10 * np.linalg.norm(b)
+
+    def test_full_rank_found_by_the_svd_keeps_the_coordinate(self, monkeypatch):
+        # where the certificate fails but the SVD counts full rank, U[:, n:]
+        # is empty and the value is |r[n, n]| to the bit
+        import gramdist.distance as dist
+
+        rng = np.random.default_rng(19)
+        a = random_complex(rng, 12, 5)
+        b = random_cvec(rng, 12)
+        certified = distance_qr(a, b).value
+        monkeypatch.setattr(dist, "_certifies_full_rank", lambda r, tol: False)
+        assert distance_qr(a, b).value == certified
 
 class TestDistanceProperties:
     def test_product_identity_including_rank_deficient(self):

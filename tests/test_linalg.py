@@ -19,8 +19,8 @@ from gramdist import (
     NotPositiveDefinite,
     NotSquare,
     ShapeError,
-    as_matrix,
     det_lu,
+    householder_qr,
     solve_hermitian_psd,
 )
 
@@ -56,7 +56,7 @@ def square_pairs(draw, max_size=4):
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            as_matrix([[1.0, float("nan")]])
+            det_lu([[1.0, float("nan")], [0.0, 1.0]])
 
     def test_rejects_inf_vector(self):
         with pytest.raises(ValueError):
@@ -64,23 +64,16 @@ class TestValidation:
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0])
+            det_lu([1.0, 2.0])
         with pytest.raises(ShapeError):
             solve_hermitian_psd(np.eye(2), [[1.0], [2.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
-            as_matrix(np.zeros((0, 3)))
-
-    def test_returns_read_only_copy(self):
-        src = np.array([[1.0, 2.0]])
-        out = as_matrix(src)
-        assert not out.flags.writeable
-        src[0, 0] = 9.0
-        assert out[0, 0] == 1.0
+            householder_qr(np.zeros((0, 3)))
 
     def test_int_input_becomes_float(self):
-        assert as_matrix([[1, 2]]).dtype == np.float64
+        assert householder_qr([[1], [2]]).dtype == np.float64
 
 
 class TestLogDet:

@@ -1,5 +1,5 @@
 """The property-suite runner itself: determinism, per-trial stream
-independence, and override handling."""
+independence, and the registry's tolerances."""
 
 import numpy as np
 import pytest
@@ -34,14 +34,15 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_suite(SUITE_NAMES[0], trials=0)
 
-    def test_tolerance_override_applies(self):
-        s = run_suite("distance_agreement", seed=3, trials=5, tolerance=1e-30)
+    def test_tolerance_override_applies(self, monkeypatch):
+        import gramdist.verify as ver
+
+        suites = [(name, fn, 1e-30 if name == "distance_agreement" else tol)
+                  for name, fn, tol in ver.SUITES]
+        monkeypatch.setattr(ver, "SUITES", tuple(suites))
+        s = run_suite("distance_agreement", seed=3, trials=5)
         assert s.tolerance == 1e-30
         assert not s.passed
-
-    def test_run_all_rejects_unknown_override(self):
-        with pytest.raises(ValueError):
-            run_all(seed=1, trials=3, tolerances={"bogus": 1e-3})
 
     def test_registry_names_are_unique(self):
         assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 10
@@ -50,6 +51,7 @@ class TestRunner:
         # per trial: the report's factor of (Xc|yc) is the one QR, which
         # also accepts the draw, and its Cholesky the one solve; the rank
         # suite counts on (1|X) and Xc themselves and factors nothing
+        import gramdist.distance as dist
         import gramdist.regression as reg
         import gramdist.verify as ver
 
@@ -61,9 +63,9 @@ class TestRunner:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (reg, ver):
-            for name in ("householder_qr", "solve_hermitian_psd"):
-                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"),
+                          (dist, "solve_hermitian_psd"), (ver, "solve_hermitian_psd")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         k = 6
         for suite, qrs, solves in (("loss_value_equivalence", k, k), ("correlation_equivalence", k, k), ("rank_relation", 0, 0)):
             calls.clear()
