@@ -16,7 +16,12 @@ and m >= n + 1, A = Q R[:, 1:], so A* A = M* M for the (n+1) x n block
 M = R[:, 1:]: A's Gram determinant is read off a QR of M, at O(n^3) cost
 instead of O(m n^2).  Re-triangularizing M composes two unitary
 reductions, so its factor is a backward-stable R factor of A (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 19).
+Accuracy and Stability of Numerical Algorithms, ch. 19).  When (b|A) has
+full rank, so has its column subset A, and A's rank is not decided again.
+
+Both tall QR operands are built column-major, the order LAPACK factors
+in, and the projection route forms A* A by one symmetric rank-k update
+(:func:`~gramdist.linalg._gram`).
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -33,8 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _frozen, solve_hermitian_psd
-from .qr import _certifies_full_rank, _rank_tolerance, gram_logdet, householder_qr
+from .linalg import LogDet, _array, _frozen, _gram, solve_hermitian_psd
+from .qr import (
+    _certifies_full_rank,
+    _logdet_at_rank,
+    _rank_of_r,
+    _rank_tolerance,
+    gram_logdet,
+    householder_qr,
+)
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -69,9 +81,19 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return mat, vec
 
 
+def _stacked(*blocks: np.ndarray) -> np.ndarray:
+    """The matrices and vectors in blocks side by side, as the columns of
+    one new column-major matrix: LAPACK factors in that order, so the QR's
+    own copy of it is contiguous instead of a transpose."""
+    cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
+    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
+                   np.result_type(*cols), order="F")
+    return np.concatenate(cols, axis=1, out=out)
+
+
 def augment(a, b) -> np.ndarray:
-    """The matrix A with b appended as its last column."""
-    return _frozen(np.column_stack(_operands(a, b)))
+    """The matrix A with b appended as its last column, column-major."""
+    return _frozen(_stacked(*_operands(a, b)))
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
@@ -80,8 +102,16 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     For m >= n + 1 rows, (b|A) = Q R is factored once, and the augmented
     Gram determinant is read off R.  Since A = Q R[:, 1:], A* A is the Gram
     matrix of the (n+1) x n block R[:, 1:], whose own triangular factor
-    gives A's determinant; its rank is decided with A's row count m, so the
-    rank tolerance is A's own.  Factoring (b|A) rather than (A|b) keeps this
+    gives A's determinant.
+
+    A's rank follows from that of (b|A) when the latter is full: its count
+    n + 1 means sigma_min(R) > tol, the tolerance m * eps * (largest column
+    norm of R).  R[:, 1:] is a column subset of R, so by interlacing
+    (Golub and Van Loan, Matrix Computations, 8.6) sigma_min(R[:, 1:]) >=
+    sigma_min(R) > tol, and A's own tolerance, m * eps * (largest column
+    norm of R[:, 1:]), is at most tol: A has full rank n.  Otherwise A's
+    rank is decided on its own factor with A's row count m, so the
+    tolerance is A's own.  Factoring (b|A) rather than (A|b) keeps this
     route apart from :func:`distance_qr`: the factor of (A|b) would repeat
     A's factor in its leading block bit for bit, and the product identity
     that ``verify`` checks between the two would hold by construction.
@@ -94,8 +124,11 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     m, n = mat.shape
     if m <= n:
         return gram_logdet(householder_qr(mat), m), LogDet.zero()
-    r = householder_qr(np.column_stack([vec, mat]))
-    return gram_logdet(householder_qr(r[:, 1:]), m), gram_logdet(r, m)
+    r = householder_qr(_stacked(vec, mat))
+    k = _rank_of_r(r, m)
+    r_a = householder_qr(np.asfortranarray(r[:, 1:]))
+    ld_a = _logdet_at_rank(r_a, n) if k == n + 1 else gram_logdet(r_a, m)
+    return ld_a, _logdet_at_rank(r, k)
 
 
 def _det_ratio(ld_a: LogDet, ld_ab: LogDet) -> float:
@@ -126,8 +159,12 @@ def distance_projection(a, b) -> DistanceResult:
     the sqrt(eps)-level cancellation floor that the quadratic-form difference
     hits when b lies (nearly) in the column space.  A failed factorization is
     reported as :class:`RankDeficient`.
+
+    A is read in row-major order, a copy only for other layouts, so the
+    value does not depend on the caller's layout.
     """
     mat, vec = _operands(a, b)
+    mat = np.ascontiguousarray(mat)
     x = _normal_solution(mat, vec)
     return DistanceResult(float(np.linalg.norm(vec - mat @ x)), "projection")
 
@@ -135,11 +172,12 @@ def distance_projection(a, b) -> DistanceResult:
 def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
 
-    A failed factorization is reported as :class:`RankDeficient`.
+    A* A is formed by :func:`~gramdist.linalg._gram`, one symmetric rank-k
+    update, and A* b as conj(b* A), so A itself is never conjugated or
+    copied.  A failed factorization is reported as :class:`RankDeficient`.
     """
-    at = mat.conj().T
     try:
-        return solve_hermitian_psd(at @ mat, at @ vec)
+        return solve_hermitian_psd(_gram(mat), (vec.conj() @ mat).conj())
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
 

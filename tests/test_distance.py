@@ -445,7 +445,7 @@ class TestGramLogdets:
     @pytest.mark.parametrize("complex_input", [False, True])
     def test_rank_deficient_tall_matrix_raises(self, complex_input):
         rng = np.random.default_rng(67)
-        for m, n in ((7, 5), (30, 5), (200, 20)):
+        for m, n in ((7, 5), (30, 5), (60, 20), (200, 20)):
             a, b = self.draw(rng, m, n, complex_input)
             zero, dup, scaled = a.copy(), a.copy(), a.copy()
             zero[:, n // 2] = 0.0
@@ -455,6 +455,86 @@ class TestGramLogdets:
                 assert gram_logdets(bad, b)[0].is_zero
                 with pytest.raises(RankDeficient):
                     distance_det(bad, b)
+
+
+class TestCertificateReuse:
+    """gram_logdets decides A's rank again only when (b|A) falls short of
+    full rank: a full count for (b|A) already gives A's."""
+
+    @staticmethod
+    def count_certificates(monkeypatch):
+        import gramdist.qr
+
+        calls = []
+        certify = gramdist.qr._certifies_full_rank
+        monkeypatch.setattr(gramdist.qr, "_certifies_full_rank",
+                            lambda a, tol: calls.append(a.shape) or certify(a, tol))
+        return calls
+
+    def test_full_rank_runs_one_certificate(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        a, b = random_complex(rng, 60, 20), random_cvec(rng, 60)
+        calls = self.count_certificates(monkeypatch)
+        assert distance_det(a, b).value > 0.0
+        assert calls == [(21, 21)]
+
+    def test_vector_in_the_span_decides_a_on_its_own_factor(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        a = random_complex(rng, 60, 20)
+        b = a @ random_cvec(rng, 20)
+        calls = self.count_certificates(monkeypatch)
+        ld_a, ld_ab = gram_logdets(a, b)
+        assert ld_ab.is_zero and not ld_a.is_zero and math.isfinite(ld_a.log_mag)
+        assert distance_det(a, b).value == 0.0
+        assert (20, 20) in calls
+
+    def test_same_pair_as_deciding_each_rank_on_its_own_factor(self):
+        # near-dependent last column, the gap spread over four decades
+        # around A's rank tolerance; b's scale moves the tolerance of (b|A)
+        rng = np.random.default_rng(97)
+        outcomes = set()
+        for t in range(500):
+            m = int(rng.integers(6, 16))
+            n = int(rng.integers(2, min(m - 1, 6) + 1))
+            complex_input = t % 2 == 1
+            a = random_complex(rng, m, n) if complex_input else rng.uniform(-1, 1, (m, n))
+            b = random_cvec(rng, m) if complex_input else rng.uniform(-1, 1, m)
+            b = b * 10.0 ** rng.uniform(-1.0, 1.0)
+            noise = random_cvec(rng, m) if complex_input else rng.uniform(-1, 1, m)
+            tol = m * np.finfo(float).eps * np.linalg.norm(a[:, 0])
+            gap = tol * 10.0 ** rng.uniform(-2.0, 2.0)
+            a[:, -1] = a[:, 0] + gap * noise / np.linalg.norm(noise)
+            r = householder_qr(np.column_stack([b, a]))
+            expected = (gram_logdet(householder_qr(r[:, 1:]), m), gram_logdet(r, m))
+            assert gram_logdets(a, b) == expected, t
+            outcomes.add(expected[0].is_zero)
+        assert outcomes == {False, True}
+
+
+class TestLayout:
+    """The routes read only values: row-major, column-major and strided
+    copies of (A, b) give the same bits."""
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 6), (9, 8), (200, 20)])
+    def test_each_route_is_bit_identical(self, shape, complex_input):
+        rng = np.random.default_rng(5)
+
+        def draw(size):
+            x = rng.standard_normal(size)
+            return x + 1j * rng.standard_normal(size) if complex_input else x
+
+        m, n = shape
+        a, b = draw(shape), draw(m)
+        big_a = np.zeros((2 * m, 2 * n), a.dtype)
+        big_a[::2, ::2] = a
+        big_b = np.zeros(2 * m, b.dtype)
+        big_b[::2] = b
+        copies = [(np.ascontiguousarray(a), b), (np.asfortranarray(a), b),
+                  (big_a[::2, ::2], big_b[::2])]
+        for fn in (distance_det, distance_projection, distance_qr):
+            values = [fn(x, y).value for x, y in copies]
+            assert values[1:] == values[:-1], (fn.__name__, values)
 
 
 class TestScaledInputs:

@@ -23,6 +23,7 @@ from gramdist import (
     householder_qr,
     solve_hermitian_psd,
 )
+from gramdist.linalg import EPS, _gram
 
 
 def det_cofactor(a):
@@ -245,3 +246,35 @@ class TestSolveHermitianPsd:
             assert np.max(np.abs(gram - gram.conj().T)) <= 1e-14
             x = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
             assert np.vdot(x, gram @ x).real >= -1e-12
+
+
+class TestGram:
+    """The private A* A of the projection route: one syrk on the real view of A."""
+
+    @staticmethod
+    def layouts(a):
+        """a in row-major, column-major and strided (non-contiguous) copies."""
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]), a.dtype)
+        wide[:, ::2] = a
+        return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": wide[:, ::2]}
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (7, 1), (30, 5), (200, 20)])
+    def test_complex_hermitian_and_close_to_the_product(self, shape):
+        rng = np.random.default_rng([83, *shape])
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = a.conj().T @ a
+        bound = 4 * shape[0] * EPS * np.linalg.norm(a) ** 2
+        for layout, arr in self.layouts(a).items():
+            g = _gram(arr)
+            assert g.dtype == np.complex128 and g.shape == (shape[1],) * 2, layout
+            np.testing.assert_array_equal(g, g.conj().T)
+            assert (g.diagonal().imag == 0.0).all(), layout
+            assert np.max(np.abs(g - ref)) <= bound, layout
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (30, 5), (200, 20)])
+    def test_real_input_is_the_plain_product(self, shape):
+        a = np.random.default_rng([89, *shape]).standard_normal(shape)
+        for layout, arr in self.layouts(a).items():
+            g = _gram(arr)
+            assert g.dtype == np.float64, layout
+            np.testing.assert_array_equal(g, arr.T @ arr)

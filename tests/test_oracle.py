@@ -1,14 +1,17 @@
-"""Accuracy of the factor routes against a 60-digit oracle.
+"""Accuracy of the distance routes against a 60-digit oracle.
 
 On graded spectra with condition number kappa the distance has relative
 condition number of order kappa, so a backward-stable route is within a
 small multiple of kappa * eps of the exact distance of the stored input.
+The projection route solves the normal equations, whose Gram matrix has
+condition number kappa^2, so its bound is a small multiple of
+kappa^2 * eps.
 """
 
 import numpy as np
 import pytest
 
-from gramdist import distance_det, distance_qr
+from gramdist import distance_det, distance_projection, distance_qr
 from gramdist.linalg import EPS
 from mp_oracle import mp_distance
 
@@ -36,3 +39,15 @@ def test_factor_routes_within_ten_kappa_eps(k, complex_input):
         for route in (distance_det, distance_qr):
             err = abs(route(a, b).value - exact) / exact
             assert err <= 10.0 * kappa * EPS, route.__name__
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_projection_within_ten_kappa_squared_eps(k, complex_input):
+    kappa = 10.0**k
+    rng = np.random.default_rng([113, k, int(complex_input)])
+    for _ in range(5):
+        a, b = graded(rng, 30, 5, kappa, complex_input)
+        exact = mp_distance(a, b)
+        err = abs(distance_projection(a, b).value - exact) / exact
+        assert err <= 10.0 * kappa**2 * EPS
