@@ -20,8 +20,9 @@ Accuracy and Stability of Numerical Algorithms, ch. 19).  When (b|A) has
 full rank, so has its column subset A, and A's rank is not decided again.
 
 Both tall QR operands are built column-major, the order LAPACK factors
-in, and the projection route forms A* A by one symmetric rank-k update
-(:func:`~gramdist.linalg._gram`).
+in, so the one copy that :func:`~gramdist.qr.householder_qr` makes of each
+is a straight copy, and the projection route forms A* A by one symmetric
+rank-k update (:func:`~gramdist.linalg._gram`).
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -83,8 +84,8 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _stacked(*blocks: np.ndarray) -> np.ndarray:
     """The matrices and vectors in blocks side by side, as the columns of
-    one new column-major matrix: LAPACK factors in that order, so the QR's
-    own copy of it is contiguous instead of a transpose."""
+    one new column-major matrix: LAPACK factors in that order, so
+    householder_qr's one copy of it is a straight copy, not a transpose."""
     cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
     out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
                    np.result_type(*cols), order="F")
@@ -126,7 +127,7 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
         return gram_logdet(householder_qr(mat), m), LogDet.zero()
     r = householder_qr(_stacked(vec, mat))
     k = _rank_of_r(r, m)
-    r_a = householder_qr(np.asfortranarray(r[:, 1:]))
+    r_a = householder_qr(r[:, 1:])
     ld_a = _logdet_at_rank(r_a, n) if k == n + 1 else gram_logdet(r_a, m)
     return ld_a, _logdet_at_rank(r, k)
 

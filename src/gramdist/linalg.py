@@ -2,10 +2,14 @@
 form, and hermitian positive-definite solves, both on LAPACK.
 
 Operands are validated without a copy: every routine here and in the
-modules built on it only reads its input, and LAPACK factors a copy of its
-own.  Only ``regression.Dataset`` copies, since it keeps the array.
-Outputs come back with the writeable flag cleared, so every operation
-behaves as a pure function over values.
+modules built on it only reads its input, and each factorization works on
+a copy of its own (LAPACK's inside numpy, or the one column-major copy
+that ``qr.householder_qr`` makes).  Only ``regression.Dataset`` copies to
+keep an array.  Outputs come back with the writeable flag cleared, so
+every operation behaves as a pure function over values.
+
+The two triangles of a Cholesky solve are solved by block substitution,
+O(n^2) for an n x n system, where an LU of each would be O(n^3).
 """
 
 from __future__ import annotations
@@ -165,5 +169,32 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
         raise NotPositiveDefinite(
             f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {tau!r}"
         )
-    y = np.linalg.solve(low, b)
-    return _frozen(np.linalg.solve(low.conj().T, y))
+    y = _solve_triangular(low, b, lower=True)
+    return _frozen(_solve_triangular(low.conj().T, y, lower=False))
+
+
+# The largest diagonal block solved whole: systems up to this size go to
+# np.linalg.solve as they are.
+_BLOCK = 32
+
+
+def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve T x = b for a nonsingular lower or upper triangular n x n T.
+
+    T is halved recursively: one half of x is solved first, its product
+    with the off-diagonal block is subtracted from the other half of b, and
+    the other half is solved.  Diagonal blocks of at most _BLOCK rows go to
+    ``np.linalg.solve`` (LU), so the whole solve is O(n^2) instead of the
+    O(n^3) of one LU of T, and any n <= _BLOCK is exactly np.linalg.solve.
+    """
+    n = t.shape[0]
+    if n <= _BLOCK:
+        return np.linalg.solve(t, b)
+    h = n // 2
+    if lower:
+        top = _solve_triangular(t[:h, :h], b[:h], lower)
+        rest = _solve_triangular(t[h:, h:], b[h:] - t[h:, :h] @ top, lower)
+        return np.concatenate((top, rest))
+    rest = _solve_triangular(t[h:, h:], b[h:], lower)
+    top = _solve_triangular(t[:h, :h], b[:h] - t[:h, h:] @ rest, lower)
+    return np.concatenate((top, rest))

@@ -3,8 +3,9 @@
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
 matrices.  Q is never formed: callers that need a unitary matrix take it
-from ``np.linalg.qr`` directly.  The operand is validated but not copied,
-since LAPACK works on a copy of its own.
+from ``np.linalg.qr`` directly.  The operand is copied once, column-major,
+and LAPACK's geqrf factors that copy in place; geqrf is reached through
+``numpy.linalg.lapack_lite``, so numpy stays the only runtime dependency.
 
 No rank is decided while factoring: a caller that needs one asks
 :func:`_rank_of_r` for it.  Every count of singular values above a
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ShapeError
 from .linalg import EPS, LogDet, _array, _frozen
@@ -120,14 +122,27 @@ def householder_qr(a) -> np.ndarray:
     """The read-only n x n triangular factor R of A = Q R, by unpivoted
     Householder QR (LAPACK geqrf); columns stay in the caller's order.
 
-    A is validated but not copied: LAPACK factors a copy of its own and
-    never writes to A.
+    A is validated, then copied once into the column-major array that
+    geqrf factors in place, so A is never written to and R shares no
+    memory with it.  The workspace is the size geqrf asks for, as
+    ``np.linalg.qr`` sizes it, so the block size and hence R are the same
+    bit for bit.
     """
     mat = _array(a, 2)
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")
-    return _frozen(np.linalg.qr(mat, mode="r"))
+    work = np.array(mat, order="F")
+    geqrf = lapack_lite.zgeqrf if np.iscomplexobj(work) else lapack_lite.dgeqrf
+    # lapack_lite takes C-contiguous arrays: work.T is the same memory
+    tau = np.empty(n, work.dtype)
+    query = np.empty(1, work.dtype)
+    geqrf(m, n, work.T, m, tau, query, -1, 0)
+    lwork = max(1, n, int(query[0].real))
+    info = geqrf(m, n, work.T, m, tau, np.empty(lwork, work.dtype), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqrf failed with info={info}")
+    return _frozen(np.triu(work[:n]))
 
 
 def gram_logdet(r: np.ndarray, rows: int) -> LogDet:

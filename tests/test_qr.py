@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.linalg import lapack_lite
 
+import gramdist.qr
 from gramdist import (
     ShapeError,
     det_lu,
@@ -141,22 +143,39 @@ class TestImmutability:
             assert not r.flags.writeable
             assert a.flags.writeable
 
-    def test_float_input_reaches_lapack_uncopied(self, monkeypatch):
-        # LAPACK copies its operand itself, so householder_qr passes a
-        # float64 or complex128 array through; mutating it afterwards
-        # leaves the factor as it was
+    def test_lapack_factors_one_column_major_copy(self, monkeypatch):
+        # householder_qr copies A once, column-major, and geqrf factors that
+        # copy in place: one factorization after the workspace query, on
+        # memory A does not share, so zeroing A afterwards leaves the factor
+        # as it was
         rng = np.random.default_rng(67)
-        factor = np.linalg.qr
-        seen = []
+        calls = []
 
-        def spy(a, mode):
-            seen.append(a)
-            return factor(a, mode=mode)
+        def spy_on(name):
+            routine = getattr(lapack_lite, name)
 
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        for a in (rng.standard_normal((6, 3)), random_complex(rng, 6, 3)):
+            def spy(m, n, a, lda, tau, work, lwork, info):
+                calls.append((name, m, n, a, lwork))
+                return routine(m, n, a, lda, tau, work, lwork, info)
+
+            monkeypatch.setattr(gramdist.qr.lapack_lite, name, spy)
+
+        spy_on("dgeqrf")
+        spy_on("zgeqrf")
+        real, cplx = rng.standard_normal((6, 3)), random_complex(rng, 6, 3)
+        for a, name in ((real, "dgeqrf"), (np.asfortranarray(real), "dgeqrf"),
+                        (cplx, "zgeqrf"), (np.asfortranarray(cplx), "zgeqrf")):
             r = householder_qr(a)
-            assert seen.pop() is a
+            factorizations = [c for c in calls if c[4] != -1]
+            assert len(factorizations) == 1 and len(calls) == 2
+            called, m, n, operand, _ = factorizations[0]
+            assert (called, m, n) == (name, 6, 3)
+            # lapack_lite takes the transpose: a C-contiguous 3 x 6 view is
+            # a column-major 6 x 3 matrix
+            assert operand.shape == (3, 6) and operand.flags.c_contiguous
+            assert operand.T.flags.f_contiguous
+            assert not np.shares_memory(operand, a)
+            calls.clear()
             before = r.copy()
             a[:] = 0.0
             np.testing.assert_array_equal(r, before)
@@ -177,6 +196,45 @@ class TestImmutability:
             r = householder_qr(value)
             assert r.dtype == dtype
             assert not r.flags.writeable
+
+
+class TestLapackCanary:
+    """householder_qr calls geqrf through numpy.linalg.lapack_lite with the
+    workspace np.linalg.qr uses, so R is np.linalg.qr's bit for bit.  A
+    numpy that changes lapack_lite or its QR fails here first."""
+
+    @staticmethod
+    def layouts(a):
+        """a in row-major, column-major, strided and read-only copies."""
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]), a.dtype)
+        wide[:, ::2] = a
+        frozen = a.copy()
+        frozen.setflags(write=False)
+        return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+                "strided": wide[:, ::2], "read-only": frozen}
+
+    @staticmethod
+    def assert_bit_identical(a, label=""):
+        r, ref = householder_qr(a), np.linalg.qr(a, mode="r")
+        assert r.dtype == ref.dtype and r.shape == ref.shape, label
+        assert r.tobytes() == ref.tobytes(), label
+
+    @pytest.mark.parametrize("shape, complex_input", [
+        ((1, 1), False), ((1, 1), True), ((5, 5), False), ((5, 5), True),
+        ((6, 5), False), ((6, 5), True), ((1000, 201), True), ((20000, 12), False),
+    ])
+    def test_same_factor_as_numpy_qr(self, shape, complex_input):
+        rng = np.random.default_rng([71, *shape, int(complex_input)])
+        a = rng.standard_normal(shape)
+        if complex_input:
+            a = a + 1j * rng.standard_normal(shape)
+        for scale in (1.0, 2.0**400, 2.0**-400):
+            for layout, arr in self.layouts(a * scale).items():
+                self.assert_bit_identical(arr, f"{layout} at scale {scale}")
+
+    def test_integer_input(self):
+        a = np.random.default_rng(73).integers(-9, 10, (7, 4))
+        self.assert_bit_identical(a)
 
 
 def svd_count(a, tol):
