@@ -1,6 +1,12 @@
 """Column-space distances, regression loss values, and multiple correlation,
 all computable from ratios of Gram determinants and verified against
-independent routes."""
+independent routes.
+
+Importing the package has no process-wide effect.  The verification stack
+(the ``verify`` suites and their ``rng`` generator) loads on first use of one
+of its public names, so ``import gramdist`` and the ``dist``, ``gram-check``
+and ``regress`` commands never compile or run it.
+"""
 
 from .errors import (
     CsvError,
@@ -46,8 +52,6 @@ from .regression import (
     normal_solve,
     regression_report,
 )
-from .rng import SplitMix64, derive_seed, mix64
-from .verify import SUITE_NAMES, SuiteResult, run_all, run_suite
 
 __version__ = "0.1.0"
 
@@ -97,3 +101,28 @@ __all__ = [
     "run_suite",
     "solve_hermitian_psd",
 ]
+
+# public names resolved on first access (PEP 562), by the module defining them
+_LAZY = {
+    "SplitMix64": "rng",
+    "derive_seed": "rng",
+    "mix64": "rng",
+    "SUITE_NAMES": "verify",
+    "SuiteResult": "verify",
+    "run_all": "verify",
+    "run_suite": "verify",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

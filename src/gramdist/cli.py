@@ -14,6 +14,12 @@ Subcommands:
 Exit codes: 0 ok, 1 input error, 2 rank-deficient, 3 zero variance,
 4 verification failure.  Numbers are printed as shortest round-trip decimals
 (at most 17 significant digits), identically in text and JSON modes.
+
+``main(argv)`` has no process-wide effect: it returns the exit code (argparse
+raises ``SystemExit`` for usage errors and ``--help``), and tests and the
+benchmark call it in-process.  Only ``verify`` imports the ``verify`` and
+``rng`` modules.  The process entry that freezes the import-time heap is
+``gramdist.__main__.entry``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .distance import _det_ratio, distance_projection, distance_qr, gram_logdets
 from .errors import GramDistError, RankDeficient, ShapeError, ZeroVariance
 from .qr import gram_logdet, householder_qr
 from .regression import Dataset, regression_report
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -243,6 +248,9 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the suites and their generator load only for this subcommand
+    from .verify import run_all
+
     if not 0 <= args.seed < 2**64:
         raise GramDistError("seed must fit in 64 unsigned bits")
     suites = run_all(seed=args.seed, trials=args.trials)
@@ -333,7 +341,3 @@ def main(argv=None) -> int:
     except (GramDistError, OverflowError, OSError, UnicodeDecodeError, ValueError, TypeError) as exc:
         print(f"gramdist: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

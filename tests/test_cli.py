@@ -1,9 +1,12 @@
 """The command-line front end: fixtures through every subcommand, the JSON
 schema, exit codes, and determinism of the verification output."""
 
+import gc
+import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -282,14 +285,114 @@ class TestNumberFormatting:
             assert float(line_value(out_text, key)) == doc["results"][key]
 
 
+SRC = Path(gramdist.__file__).resolve().parents[1]
+VERIFY_STACK = ["gramdist.rng", "gramdist.verify"]
+
+
+def python(*args):
+    """Run a fresh interpreter that imports gramdist from this source tree;
+    COLUMNS pins argparse's help width to the one the in-process runs get."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def imported(importtime_log):
+    """The module names in a ``-X importtime`` log."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
 class TestDependencies:
     def test_cli_import_leaves_scipy_out(self):
         # numpy is the only runtime dependency; scipy alone would add about a
         # third of a second and 27 MiB to every CLI process
-        src = str(Path(gramdist.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = "import sys, gramdist.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        res = python("-c", code)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_verify_stack_loads_only_for_verify(self, regress_file):
+        code = ("import sys, gramdist, gramdist.cli; dir(gramdist); "
+                "print(*(m for m in sys.modules if m.startswith('gramdist.')))")
+        res = python("-c", code)
+        assert res.returncode == 0, res.stderr
+        loaded = set(res.stdout.split())
+        assert "gramdist.cli" in loaded and not set(VERIFY_STACK) & loaded
+        for argv, expected in (
+            (["regress", "--data", regress_file, "--target", "y"], set()),
+            (["verify", "--trials", "1"], set(VERIFY_STACK)),
+        ):
+            res = python("-X", "importtime", "-m", "gramdist", *argv)
+            assert res.returncode == 0, res.stderr
+            names = imported(res.stderr)
+            assert "gramdist.cli" in names
+            assert set(VERIFY_STACK) & names == expected, argv[0]
+
+    def test_lazy_names_are_listed(self):
+        assert set(gramdist.__all__) <= set(dir(gramdist))
+        with pytest.raises(AttributeError):
+            gramdist.no_such_name  # noqa: B018
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys, regress_file):
+        assert gc.get_freeze_count() == 0
+        assert main(["regress", "--data", regress_file, "--target", "y"]) == 0
+        assert main(["verify", "--trials", "1"]) == 0
+        assert gc.get_freeze_count() == 0
+
+
+class TestProcessEntry:
+    # argv, the CSV written and passed last (if any), the exit code
+    CASES = {
+        "help": (["--help"], None, 0),
+        "usage": (["regress", "--data", "d.csv"], None, 1),
+        "ok": (["regress", "--target", "y", "--data"], "x,y\n1,1\n2,2\n3,2\n4,3\n", 0),
+        "parse": (["regress", "--target", "y", "--data"], "x,y\n1,2\n3,oops\n", 1),
+        "rank": (["regress", "--target", "y", "--data"], "x1,x2,y\n1,2,1\n2,4,2\n3,6,5\n4,8,9\n", 2),
+        "variance": (["regress", "--target", "y", "--data"], "x,y\n1,5\n2,5\n3,5\n", 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_subprocess_matches_main(self, case, capsys, monkeypatch, tmp_path):
+        argv, data, expected = self.CASES[case]
+        if data is not None:
+            argv = argv + [write(tmp_path, "d.csv", data)]
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == expected
+        res = python("-m", "gramdist", *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
+
+    def test_both_entries_freeze_then_run_main(self, monkeypatch):
+        import gramdist.__main__
+        import gramdist.cli
+
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["gramdist"]
+        module, _, attr = target.partition(":")
+        script = getattr(importlib.import_module(module), attr)
+        assert script is gramdist.__main__.entry
+
+        calls = []
+
+        def fake_main():
+            calls.append("main")
+            return 7
+
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gramdist.cli, "main", fake_main)
+        monkeypatch.setattr(gramdist.__main__, "main", fake_main)
+        assert script() == 7
+        assert calls == ["freeze", "main"]
+        calls.clear()
+        # python -m gramdist runs the package's __main__ module afresh
+        monkeypatch.delitem(sys.modules, "gramdist.__main__")
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("gramdist", run_name="__main__")
+        assert exit_.value.code == 7
+        assert calls == ["freeze", "main"]
