@@ -227,7 +227,7 @@ def _cmd_regress(args) -> int:
         # asserts it
         "rank_full": True,
     }
-    if args.coefficients and rep.coefficients is not None:
+    if args.coefficients:
         results["coefficients"] = [float(c) for c in rep.coefficients]
     if rep.flags:
         results["flags"] = list(rep.flags)
@@ -309,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = sub.add_parser("regress", help="loss value and multiple correlation for a CSV dataset")
     p_reg.add_argument("--data", required=True)
     p_reg.add_argument("--target", required=True, help="header label of the target column")
-    p_reg.add_argument("--coefficients", action="store_true", help="also solve for the coefficients")
-    p_reg.add_argument("--no-solve", action="store_true", help="determinant-route numbers only, no regression solve")
+    # the coefficients come from the solve that --no-solve skips
+    solve = p_reg.add_mutually_exclusive_group()
+    solve.add_argument("--coefficients", action="store_true", help="also solve for the coefficients")
+    solve.add_argument("--no-solve", action="store_true", help="determinant-route numbers only, no regression solve")
     p_reg.add_argument("--format", choices=("text", "json"), default="text")
 
     p_ver = sub.add_parser("verify", help="run the seeded property suites")
@@ -338,6 +340,6 @@ def main(argv=None) -> int:
     except ZeroVariance as exc:
         print(f"gramdist: zero variance: {exc}", file=sys.stderr)
         return EXIT_VARIANCE
-    except (GramDistError, OverflowError, OSError, UnicodeDecodeError, ValueError, TypeError) as exc:
+    except (GramDistError, OverflowError, OSError, ValueError, TypeError) as exc:
         print(f"gramdist: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

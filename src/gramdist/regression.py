@@ -10,6 +10,7 @@ one triangular factor of (Xc|yc).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .distance import _normal_solution
 from .errors import DimensionMismatch, RankDeficient, ZeroProjection, ZeroVariance
 from .linalg import EPS, _array, _frozen
-from .qr import _count_above, _rank_of_r, householder_qr
+from .qr import _count_above, householder_qr
 
 
 def _real(a, ndim: int) -> np.ndarray:
@@ -96,10 +97,30 @@ def _design(d: Dataset) -> np.ndarray:
     return np.column_stack([np.ones(d.m), d.x])
 
 
+def _equilibrated_rank(a: np.ndarray, norms: np.ndarray, m: int) -> int:
+    """Number of singular values above m * eps of the m-row matrix a with
+    column j divided by norms[j] (a zero norm divides by 1).
+
+    This is the one rank rule of the regression layer.  Dividing each
+    column by a norm puts every column on one scale, and column scaling is
+    within sqrt(n) of the best diagonal scaling (van der Sluis 1969), so
+    the scale of one column against the others does not change the count,
+    as long as the squares behind its norm stay in the double range.
+    """
+    return _count_above(a / np.where(norms > 0.0, norms, 1.0), m * EPS)
+
+
 def design_rank(d: Dataset) -> int:
-    """Numerical rank of the intercept-augmented matrix (1|X), counted on
-    (1|X) itself, wide or tall."""
-    return _rank_of_r(_design(d), d.m)
+    """Numerical rank of the intercept-augmented matrix (1|X), wide or tall,
+    counted on (1|X) itself with each column divided by its own norm: sqrt(m)
+    for the ones and ||x_j|| for x_j.
+
+    With :func:`centered_rank`'s rule this gives rk(1|X) = rk(Xc) + 1 also
+    at large offsets, where (1|X) is ill-conditioned relative to its largest
+    column and Xc is not.
+    """
+    a = _design(d)
+    return _equilibrated_rank(a, np.linalg.norm(a, axis=0), d.m)
 
 
 def centered_rank(d: Dataset) -> int:
@@ -110,18 +131,15 @@ def centered_rank(d: Dataset) -> int:
 
 def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     """Rank of Xc, counted on Xc itself or on a triangular factor of it (the
-    two share singular values and column norms): the smaller of two counts.
+    two share singular values and column norms).
 
-    The first counts at Xc's own tolerance.  The second catches the rounding
-    that centering leaves, up to about eps * ||x_j|| in column j of Xc: three
-    samples of 0.1 center to a nonzero 1e-17.  With each column divided by
-    the uncentered ||x_j|| (r divided the same way stays Xc or its factor), a
-    singular value at or below m * eps is that rounding.
+    Column j is divided by the uncentered ||x_j|| (r divided the same way
+    stays Xc or its factor), and a singular value at or below m * eps is
+    not rank.  That catches the rounding that centering leaves, up to about
+    eps * ||x_j|| in column j of Xc: three samples of 0.1 center to a
+    nonzero 1e-17.
     """
-    norms = np.linalg.norm(d.x, axis=0)
-    scaled = r / np.where(norms > 0.0, norms, 1.0)
-    residue_free = _count_above(scaled, d.m * EPS)
-    return min(_rank_of_r(r, d.m), residue_free)
+    return _equilibrated_rank(r, np.linalg.norm(d.x, axis=0), d.m)
 
 
 def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,9 +147,9 @@ def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     triangular factor R of (Xc|yc), with full rank of Xc checked.
 
     The leading n x n block of R is the factor of Xc, so the rank is decided
-    on Xc alone, by :func:`_centered_rank_of_r`, and the target column's
-    entries stay plain values whatever the scale of y.  Raises
-    :class:`RankDeficient` when that rank is below n.
+    on Xc alone, by :func:`_centered_rank_of_r` with one count, and the
+    target column's entries stay plain values whatever the scale of y.
+    Raises :class:`RankDeficient` when that rank is below n.
     """
     n = d.n
     if d.m < n + 1:
@@ -207,10 +225,19 @@ def multiple_correlation_det(d: Dataset) -> float:
     return regression_report(d, solve=False).correlation
 
 
+def _fits(*values: float) -> None:
+    """Raise OverflowError unless every value is finite."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError("a result of the regression does not fit a double")
+
+
 def mean_squared_loss(d: Dataset) -> float:
-    """loss_value_det squared over (m - 1)."""
+    """loss_value_det squared over (m - 1).  Raises OverflowError when that
+    square does not fit a double."""
     v = loss_value_det(d)
-    return v * v / (d.m - 1)
+    mse = v * v / (d.m - 1)
+    _fits(mse)
+    return mse
 
 
 def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
@@ -219,14 +246,17 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     The solve gives the coefficients (intercept first) and the
     projection-route correlation.  With solve=False only the
     determinant-route numbers are produced, which demonstrates that loss and
-    correlation need no regression solve.  The rank is decided once, on the
-    centered sample matrix, before the target's variance: data that is both
-    rank deficient and constant in y raises :class:`RankDeficient`.  A
-    target with zero variance at tolerance raises :class:`ZeroVariance`.
-    When the projection-route correlation is undefined (zero projection)
-    while the determinant route gives 0, the discrepancy is recorded in
-    flags.  The solve keeps the Cholesky pivot check of
-    :func:`normal_solve`.
+    correlation need no regression solve.  The rank is decided once, by
+    one count of the regression layer's rank rule on the factor of the
+    centered sample matrix (:func:`_centered_rank_of_r`), before the
+    target's variance: data that is both rank deficient and constant in y
+    raises :class:`RankDeficient`.  A target with zero variance at
+    tolerance raises :class:`ZeroVariance`.  When the projection-route
+    correlation is undefined (zero projection) while the determinant route
+    gives 0, the discrepancy is recorded in flags.  The solve keeps the
+    Cholesky pivot check of :func:`normal_solve`.  A number of the report
+    that is not finite, such as a squared loss past the double range,
+    raises OverflowError.
     """
     xc, yc, r = _fit(d)
     n = d.n
@@ -246,11 +276,17 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
             flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
         else:
             rho_proj = float(yc @ p_hat) / (npn * ny)
+    rho = float(np.linalg.norm(r[:n, n]) / np.linalg.norm(r[:, n]))
+    mse = loss * loss / (d.m - 1)
+    shown = [loss, rho, mse]
+    if solve:
+        shown += [*coefs.tolist(), 0.0 if rho_proj is None else rho_proj]
+    _fits(*shown)
     return RegressionReport(
         loss_value=loss,
-        correlation=float(np.linalg.norm(r[:n, n]) / np.linalg.norm(r[:, n])),
+        correlation=rho,
         correlation_projection=rho_proj,
-        mean_squared_loss=loss * loss / (d.m - 1),
+        mean_squared_loss=mse,
         coefficients=coefs,
         flags=flags,
     )

@@ -213,6 +213,37 @@ class TestRegress:
             code, _ = run(capsys, argv + ["--data", str(tmp_path / "dup.csv")])
             assert code == 2
 
+    def test_result_beyond_a_double_exits_1(self, capsys, tmp_path):
+        # y at 1e200 overflows the squared loss and the correlation's norms:
+        # an error on stderr and nothing on stdout, not nan with exit 0
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(50)
+        y = 1e200 * (x + rng.standard_normal(50))
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        d = write(tmp_path, "big.csv", "x,y\n" + rows)
+        for flags in ([], ["--no-solve"], ["--coefficients"]):
+            with np.errstate(all="ignore"):
+                code = main(["regress", "--data", d, "--target", "y"] + flags)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith("gramdist: error:")
+
+    def test_coefficients_need_the_solve(self, capsys, regress_file):
+        with pytest.raises(SystemExit) as err:
+            main(["regress", "--data", regress_file, "--target", "y", "--coefficients", "--no-solve"])
+        assert err.value.code == 1
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_undecodable_csv_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y\n\xff,1\n")
+        code = main(["regress", "--data", str(path), "--target", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("gramdist: error:")
+
     def test_unknown_target(self, capsys, regress_file):
         code, _ = run(capsys, ["regress", "--data", regress_file, "--target", "zzz"])
         assert code == 1

@@ -14,6 +14,7 @@ import pytest
 from gramdist import (
     Dataset,
     DimensionMismatch,
+    GramDistError,
     RankDeficient,
     ZeroProjection,
     ZeroVariance,
@@ -29,6 +30,7 @@ from gramdist import (
     regression_report,
 )
 from gramdist.cli import main
+from gramdist.linalg import EPS
 from gramdist.qr import _rank_of_r
 from gramdist.regression import _centered_rank_of_r
 
@@ -70,6 +72,19 @@ def centering_residue_datasets():
         Dataset(np.full((3, 1), 0.1), np.array([1.0, 2.0, 4.0])),
         Dataset(np.column_stack([x1, x1 + 0.1]), rng.standard_normal(200)),
     )
+
+
+def scaled_columns(exponents):
+    """(j, k, x, y, report) for each column j of a 50 x 3 Gaussian X and
+    each k in exponents, with a fresh copy x of X and the solve-free report
+    of the unscaled (X, y)."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((50, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(50)
+    base = regression_report(Dataset(x, y), solve=False)
+    for j in range(3):
+        for k in exponents:
+            yield j, k, x.copy(), y, base
 
 
 class TestDataset:
@@ -288,6 +303,9 @@ class TestRankRelation:
         # fewer samples than regressors: (1|X) is wide
         for m, n in ((2, 3), (3, 5)):
             datasets.append(Dataset(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)))
+        # large offsets: (1|X) is ill-conditioned relative to its largest
+        # column, Xc is not; both are counted with each column on one scale
+        datasets += [offset_dataset(offset) for offset in (1e4, 1e8, 1e10, 1e12)]
         for d in datasets:
             assert design_rank(d) == centered_rank(d) + 1
 
@@ -334,9 +352,9 @@ class TestRankRelation:
         inexact, offset = centering_residue_datasets()
         assert centered_rank(inexact) == 0
         assert design_rank(inexact) == 1
-        # at the 1e8 offset, (1|X) is itself rank 1 at its own tolerance,
-        # one short of the exact 2, so only the centered side is pinned
+        # x2 = x1 + 0.1 at a 1e8 offset: the intercept spans the 0.1
         assert centered_rank(offset) == 1
+        assert design_rank(offset) == 2
 
 
 class TestMeanSquaredLoss:
@@ -386,9 +404,9 @@ class TestRegressionReport:
         assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
-        # the factorization decides no rank; the report and centered_rank
-        # make the two counts of the centered rank rule and no third, and the
-        # two rank functions count on the matrix itself, factoring nothing
+        # the factorization decides no rank; the report, centered_rank and
+        # design_rank make one count each, and the two rank functions count
+        # on the matrix itself, factoring nothing
         import gramdist.qr as qr
         import gramdist.regression as reg
 
@@ -410,13 +428,13 @@ class TestRegressionReport:
         householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
         assert calls == []
         regression_report(line_fixture)
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         monkeypatch.setattr(reg, "householder_qr", counted_qr)
         centered_rank(line_fixture)
-        assert len(calls) == 2
+        assert len(calls) == 1
         design_rank(line_fixture)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert factored == []
         # where no certificate of full rank exists, the count reaches the SVD
         svd = np.linalg.svd
@@ -462,6 +480,46 @@ class TestRegressionReport:
         for kwargs in ({}, {"solve": False}):
             rep = regression_report(d, **kwargs)
             assert abs(rep.loss_value - math.sqrt(ss)) <= 1e-12 * math.sqrt(ss)
+
+    def test_column_scale_leaves_loss_and_correlation(self):
+        # one column scaled by 10^k: the rank is counted with each column
+        # on one scale, so the report answers as for the unscaled data.  A
+        # rounding of order eps in the factor moves rho by about eps / rho
+        # relative, so the target carries signal and rho is not small.
+        for j, k, x, y, base in scaled_columns((-150, -100, -60, -20, 20, 60, 100, 150)):
+            x[:, j] *= 10.0**k
+            d = Dataset(x, y)
+            rep = regression_report(d, solve=False)
+            assert abs(rep.loss_value - base.loss_value) <= 8 * EPS * base.loss_value, (j, k)
+            assert abs(rep.correlation - base.correlation) <= 8 * EPS * base.correlation, (j, k)
+            assert design_rank(d) == centered_rank(d) + 1 == d.n + 1, (j, k)
+
+    def test_column_scale_beyond_the_range_refuses_or_agrees(self):
+        # much past 10^+-150 the squares behind a column norm leave the
+        # double range; the report may then refuse, but not answer wrongly
+        for j, k, x, y, base in scaled_columns((-300, -170, 160, 300)):
+            x[:, j] *= 10.0**k
+            with np.errstate(all="ignore"):
+                try:
+                    rep = regression_report(Dataset(x, y), solve=False)
+                except GramDistError:
+                    continue
+            assert abs(rep.loss_value - base.loss_value) <= 8 * EPS * base.loss_value, (j, k)
+            assert abs(rep.correlation - base.correlation) <= 8 * EPS * base.correlation, (j, k)
+
+    def test_result_beyond_a_double_raises_overflow(self):
+        # y at 1e200: the squared loss and the norms behind both
+        # correlations overflow, which is an error, not an inf or a nan
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((50, 2))
+        d = Dataset(x, 1e200 * (x @ np.array([1.0, -1.0]) + rng.standard_normal(50)))
+        with np.errstate(all="ignore"):
+            for kwargs in ({}, {"solve": False}):
+                with pytest.raises(OverflowError):
+                    regression_report(d, **kwargs)
+            with pytest.raises(OverflowError):
+                mean_squared_loss(d)
+            assert math.isfinite(loss_value_det(d))
 
     def test_centering_residue_rejected_with_and_without_solve(self):
         for d in centering_residue_datasets():
