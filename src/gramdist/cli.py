@@ -153,6 +153,10 @@ def _cmd_dist(args) -> int:
     except RankDeficient:
         values["distance_projection"] = None
         code = EXIT_RANK
+    except OverflowError:
+        # A* A leaves the double range before the distance does; the two
+        # factor routes still answer, and nothing is wrong with the input
+        values["distance_projection"] = None
     try:
         values["distance_qr"] = distance_qr(a, b).value
     except ShapeError:

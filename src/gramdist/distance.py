@@ -19,10 +19,12 @@ reductions, so its factor is a backward-stable R factor of A (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 19).  When (b|A) has
 full rank, so has its column subset A, and A's rank is not decided again.
 
-Both tall QR operands are built column-major, the order LAPACK factors
-in, so the one copy that :func:`~gramdist.qr.householder_qr` makes of each
-is a straight copy, and the projection route forms A* A by one symmetric
-rank-k update (:func:`~gramdist.linalg._gram`).
+Each tall QR operand is built once, column-major, the order LAPACK
+factors in, as a private temporary that
+:func:`~gramdist.qr.householder_qr` factors in place
+(``overwrite_a=True``): one copy of A per route, and the caller's arrays
+are only read.  The projection route forms A* A by one symmetric rank-k
+update (:func:`~gramdist.linalg._gram`).
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -84,8 +86,8 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _stacked(*blocks: np.ndarray) -> np.ndarray:
     """The matrices and vectors in blocks side by side, as the columns of
-    one new column-major matrix: LAPACK factors in that order, so
-    householder_qr's one copy of it is a straight copy, not a transpose."""
+    one new, writeable column-major matrix: the order LAPACK factors in,
+    so householder_qr can factor it in place (``overwrite_a=True``)."""
     cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
     out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
                    np.result_type(*cols), order="F")
@@ -125,7 +127,7 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     m, n = mat.shape
     if m <= n:
         return gram_logdet(householder_qr(mat), m), LogDet.zero()
-    r = householder_qr(_stacked(vec, mat))
+    r = householder_qr(_stacked(vec, mat), overwrite_a=True)
     k = _rank_of_r(r, m)
     r_a = householder_qr(r[:, 1:])
     ld_a = _logdet_at_rank(r_a, n) if k == n + 1 else gram_logdet(r_a, m)
@@ -159,7 +161,8 @@ def distance_projection(a, b) -> DistanceResult:
     sqrt(b*b - b*A (A*A)^-1 A*b), but evaluating the residual vector avoids
     the sqrt(eps)-level cancellation floor that the quadratic-form difference
     hits when b lies (nearly) in the column space.  A failed factorization is
-    reported as :class:`RankDeficient`.
+    reported as :class:`RankDeficient`, and a Gram matrix A* A that overflows
+    as :class:`OverflowError`.
 
     A is read in row-major order, a copy only for other layouts, so the
     value does not depend on the caller's layout.
@@ -175,10 +178,14 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     A* A is formed by :func:`~gramdist.linalg._gram`, one symmetric rank-k
     update, and A* b as conj(b* A), so A itself is never conjugated or
-    copied.  A failed factorization is reported as :class:`RankDeficient`.
+    copied.  A failed factorization is reported as :class:`RankDeficient`,
+    and an entry of A* A or A* b that overflows as :class:`OverflowError`.
     """
+    gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise OverflowError("Gram matrix of A does not fit a double")
     try:
-        return solve_hermitian_psd(_gram(mat), (vec.conj() @ mat).conj())
+        return solve_hermitian_psd(gram, rhs)
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
 
@@ -201,10 +208,13 @@ def distance_qr(a, b) -> DistanceResult:
     max(m, n) * eps * (largest column norm of R11), the rank tolerance of A.
     By unitarity this is the squared distance to the column span, wherever
     the dependent columns sit.  Requires m >= n + 1 rows.
+
+    (A|b) is built once and factored in place; no name keeps it past the
+    factorization, so the rank certificate's arrays do not stack on it.
     """
-    aug = augment(a, b)
-    m, n = aug.shape[0], aug.shape[1] - 1
-    r = householder_qr(aug)
+    mat, vec = _operands(a, b)
+    m, n = mat.shape
+    r = householder_qr(_stacked(mat, vec), overwrite_a=True)
     value = float(abs(r[n, n]))
     r11 = r[:n, :n]
     tol = _rank_tolerance(r11, m)

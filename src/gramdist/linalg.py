@@ -3,9 +3,11 @@ form, and hermitian positive-definite solves, both on LAPACK.
 
 Operands are validated without a copy: every routine here and in the
 modules built on it only reads its input, and each factorization works on
-a copy of its own (LAPACK's inside numpy, or the one column-major copy
-that ``qr.householder_qr`` makes).  Only ``regression.Dataset`` copies to
-keep an array.  Outputs come back with the writeable flag cleared, so
+an array of its own: LAPACK's copy inside numpy, the one column-major
+copy that ``qr.householder_qr`` makes, or a stacked operand that the
+distance and regression layers build for it to factor in place
+(``overwrite_a=True``).  Only ``regression.Dataset`` copies to keep an
+array.  Outputs come back with the writeable flag cleared, so
 every operation behaves as a pure function over values.
 
 The two triangles of a Cholesky solve are solved by block substitution,

@@ -3,8 +3,10 @@
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
 matrices.  Q is never formed: callers that need a unitary matrix take it
-from ``np.linalg.qr`` directly.  The operand is copied once, column-major,
-and LAPACK's geqrf factors that copy in place; geqrf is reached through
+from ``np.linalg.qr`` directly.  LAPACK's geqrf factors a column-major
+array in place: by default a copy of the operand, or, with
+``overwrite_a=True``, the operand itself, for a caller that has just built
+it as a private temporary.  geqrf is reached through
 ``numpy.linalg.lapack_lite``, so numpy stays the only runtime dependency.
 
 No rank is decided while factoring: a caller that needs one asks
@@ -118,13 +120,17 @@ def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
     return bool(np.isfinite(low.sum()))
 
 
-def householder_qr(a) -> np.ndarray:
+def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:
     """The read-only n x n triangular factor R of A = Q R, by unpivoted
     Householder QR (LAPACK geqrf); columns stay in the caller's order.
 
     A is validated, then copied once into the column-major array that
     geqrf factors in place, so A is never written to and R shares no
-    memory with it.  The workspace is the size geqrf asks for, as
+    memory with it.  With ``overwrite_a=True`` the validated A is itself
+    that array and is left holding the Householder reflectors: it must be
+    a writeable column-major float64 or complex128 array, else ValueError.
+    The same values reach geqrf in the same layout either way, and R is
+    a new array in both.  The workspace is the size geqrf asks for, as
     ``np.linalg.qr`` sizes it, so the block size and hence R are the same
     bit for bit.
     """
@@ -132,7 +138,13 @@ def householder_qr(a) -> np.ndarray:
     m, n = mat.shape
     if m < n:
         raise ShapeError(f"need rows >= cols, got {mat.shape}")
-    work = np.array(mat, order="F")
+    if not overwrite_a:
+        work = np.array(mat, order="F")
+    elif mat is a and mat.flags.f_contiguous and mat.flags.writeable:
+        work = mat
+    else:
+        raise ValueError("overwrite_a needs a writeable column-major "
+                         "float64 or complex128 array")
     geqrf = lapack_lite.zgeqrf if np.iscomplexobj(work) else lapack_lite.dgeqrf
     # lapack_lite takes C-contiguous arrays: work.T is the same memory
     tau = np.empty(n, work.dtype)

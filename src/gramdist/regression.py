@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _normal_solution
+from .distance import _normal_solution, _stacked
 from .errors import DimensionMismatch, RankDeficient, ZeroProjection, ZeroVariance
 from .linalg import EPS, _array, _frozen
 from .qr import _count_above, householder_qr
@@ -149,13 +149,14 @@ def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The leading n x n block of R is the factor of Xc, so the rank is decided
     on Xc alone, by :func:`_centered_rank_of_r` with one count, and the
     target column's entries stay plain values whatever the scale of y.
-    Raises :class:`RankDeficient` when that rank is below n.
+    (Xc|yc) is stacked once, column-major, and factored in place.  Raises
+    :class:`RankDeficient` when that rank is below n.
     """
     n = d.n
     if d.m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
     xc, yc = d.x - d.x.mean(axis=0), d.y - float(d.y.mean())
-    r = householder_qr(np.column_stack([xc, yc]))
+    r = householder_qr(_stacked(xc, yc), overwrite_a=True)
     if _centered_rank_of_r(r[:n, :n], d) < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     return xc, yc, r

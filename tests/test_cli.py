@@ -115,6 +115,32 @@ class TestDist:
             assert float(line_value(out, key)) <= 1e-12
 
 
+    def test_overflowing_gram_keeps_the_factor_routes(self, capsys, tmp_path):
+        # at 1e160 A* A overflows: the projection route is undefined, the
+        # determinant and qr routes answer, and the exit code is theirs
+        rng = np.random.default_rng(89)
+        a = 1e160 * (rng.uniform(-1, 1, (40, 6)) + 1j * rng.uniform(-1, 1, (40, 6)))
+        b = 1e160 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
+
+        def cell(z):
+            return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+        rows = "".join(",".join(cell(complex(z)) for z in row) + "\n" for row in a)
+        ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(6)) + "\n" + rows)
+        vb = write(tmp_path, "b.csv", "v\n" + "".join(cell(complex(z)) + "\n" for z in b))
+        argv = ["dist", "--matrix", ma, "--vector", vb]
+        with np.errstate(all="ignore"):
+            code, out = run(capsys, argv)
+            json_code, json_out = run(capsys, argv + ["--format", "json"])
+        assert code == json_code == 0
+        assert line_value(out, "distance_projection") == "undefined"
+        det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
+        assert 1e159 < qr < 1e162 and abs(det - qr) <= 1e-11 * qr
+        results = json.loads(json_out)["results"]
+        assert results["distance_projection"] is None
+        assert results["distance_det"] == det and results["distance_qr"] == qr
+
+
 class TestGramCheck:
     def test_unit_fixture(self, capsys, tmp_path):
         m = write(tmp_path, "m.csv", "c1\n1\n0\n")

@@ -6,6 +6,7 @@ and cofactor determinants for the minors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,6 +558,44 @@ class TestScaledInputs:
         # the log magnitudes are near 2 (n + 1) ln(scale), about 8300 at
         # 1e300, and round relative to that
         assert abs(det - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_overflowing_gram_is_a_typed_error(self, complex_input):
+        # at 1e160 the factor routes answer, but A* A leaves the double
+        # range: the projection route says so with OverflowError
+        rng = np.random.default_rng(73)
+        a = random_complex(rng, 40, 6) if complex_input else rng.uniform(-1, 1, (40, 6))
+        b = random_cvec(rng, 40) if complex_input else rng.uniform(-1, 1, 40)
+        ref = 1e160 * distance_qr(a, b).value
+        with np.errstate(all="ignore"):
+            with pytest.raises(OverflowError, match="Gram matrix of A does not fit a double"):
+                distance_projection(1e160 * a, 1e160 * b)
+            qr = distance_qr(1e160 * a, 1e160 * b).value
+            det = distance_det(1e160 * a, 1e160 * b).value
+        assert abs(qr - ref) <= 1e-13 * ref
+        assert abs(det - ref) <= 1e-11 * ref
+
+
+class TestMemory:
+    """Each tall QR operand is one private copy of the input, factored in
+    place; tracemalloc sees numpy's data allocations."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fn", [distance_det, distance_qr])
+    def test_factor_routes_copy_the_input_once(self, fn):
+        rng = np.random.default_rng(79)
+        a, b = random_complex(rng, 1000, 200), random_cvec(rng, 1000)
+        # one stacked (b|A) or (A|b) is 1.005 A; a second copy would be 2
+        assert self.traced_peak(fn, a, b) < 1.5 * a.nbytes
 
 
 class TestOrthogonalMinorVector:

@@ -18,10 +18,15 @@ from numpy.linalg import lapack_lite
 
 import gramdist.qr
 from gramdist import (
+    Dataset,
     ShapeError,
     det_lu,
+    distance_det,
+    distance_projection,
+    distance_qr,
     gram_logdet,
     householder_qr,
+    regression_report,
 )
 from gramdist.linalg import EPS
 from gramdist.qr import _certifies_full_rank, _count_above, _rank_of_r, _rank_tolerance
@@ -129,11 +134,25 @@ class TestImmutability:
         assert not r.flags.writeable
 
     def test_input_is_not_mutated(self):
+        # the default QR, the three distance routes and the regression
+        # report only read the caller's arrays, in either layout, though
+        # the routes factor private operands in place
         rng = np.random.default_rng(53)
-        a = random_complex(rng, 5, 3)
-        snapshot = a.copy()
-        householder_qr(a)
-        np.testing.assert_array_equal(a, snapshot)
+        for order in ("C", "F"):
+            a = np.array(random_complex(rng, 5, 3), order=order)
+            b = random_complex(rng, 5, 1)[:, 0]
+            snapshot = a.copy(), b.copy()
+            householder_qr(a)
+            for route in (distance_det, distance_projection, distance_qr):
+                route(a, b)
+            np.testing.assert_array_equal(a, snapshot[0])
+            np.testing.assert_array_equal(b, snapshot[1])
+            x = np.array(rng.standard_normal((8, 3)), order=order)
+            d = Dataset(x, x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(8))
+            data = d.x.copy(), d.y.copy()
+            regression_report(d)
+            np.testing.assert_array_equal(d.x, data[0])
+            np.testing.assert_array_equal(d.y, data[1])
 
     def test_result_shares_no_memory_with_the_input(self):
         for a in (np.random.default_rng(59).standard_normal((4, 4)),
@@ -196,6 +215,42 @@ class TestImmutability:
             r = householder_qr(value)
             assert r.dtype == dtype
             assert not r.flags.writeable
+
+
+class TestOverwriteA:
+    """With overwrite_a=True geqrf factors the caller's operand itself: the
+    same values in the same layout, so the same R bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(6, 3), (5, 5), (40, 7)])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_same_factor_as_the_copying_path(self, shape, complex_input):
+        rng = np.random.default_rng([97, *shape, int(complex_input)])
+        a = random_complex(rng, *shape) if complex_input else rng.uniform(-1, 1, shape)
+        work = np.asfortranarray(a)
+        assert not np.shares_memory(work, a)
+        r = householder_qr(a)
+        r_in_place = householder_qr(work, overwrite_a=True)
+        assert r_in_place.dtype == r.dtype and r_in_place.shape == r.shape
+        assert r_in_place.tobytes() == r.tobytes()
+        assert not r_in_place.flags.writeable
+        # the operand now holds the reflectors below the diagonal
+        assert not np.array_equal(work, a)
+        assert not np.shares_memory(r_in_place, work)
+
+    def test_rejects_an_operand_it_may_not_factor_in_place(self):
+        rng = np.random.default_rng(101)
+        frozen = np.asfortranarray(rng.standard_normal((5, 3)))
+        frozen.setflags(write=False)
+        for bad in (np.ascontiguousarray(rng.standard_normal((5, 3))),
+                    np.ascontiguousarray(random_complex(rng, 5, 3)),
+                    frozen,
+                    np.asfortranarray(np.arange(15).reshape(5, 3)),
+                    np.asfortranarray(rng.standard_normal((5, 3)), np.float32),
+                    rng.standard_normal((5, 3)).tolist()):
+            snapshot = np.array(bad)
+            with pytest.raises(ValueError, match="overwrite_a"):
+                householder_qr(bad, overwrite_a=True)
+            np.testing.assert_array_equal(bad, snapshot)
 
 
 class TestLapackCanary:

@@ -7,6 +7,7 @@ correlation sqrt(0.9), centered Grams [[5,3],[3,2]] and [5].
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,21 @@ class TestRegressionReport:
         assert abs(rep.mean_squared_loss - 0.2 / 3.0) <= 1e-10
         np.testing.assert_allclose(rep.coefficients, [0.5, 0.6], atol=1e-12)
         assert rep.flags == ()
+
+    def test_report_copies_the_centered_data_once(self):
+        # the centered copies and one stacked (Xc|yc) factored in place: 2
+        # copies of the data; a second stacked copy would make it 3
+        rng = np.random.default_rng(83)
+        x = rng.standard_normal((20000, 10))
+        d = Dataset(x, x @ np.arange(1.0, 11.0) + rng.standard_normal(20000))
+        regression_report(d)
+        tracemalloc.start()
+        try:
+            regression_report(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (d.x.nbytes + d.y.nbytes)
 
     def test_no_solve_leaves_projection_out(self, line_fixture):
         rep = regression_report(line_fixture, solve=False)
