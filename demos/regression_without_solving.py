@@ -16,27 +16,21 @@ runs the actual solve to confirm.
 
 import numpy as np
 
-from gramdist import (
-    Dataset,
-    loss_value_det,
-    loss_value_residual,
-    mean_squared_loss,
-    multiple_correlation_det,
-    multiple_correlation_projection,
-    normal_solve,
-)
+from gramdist import Dataset, loss_value_residual, regression_report
 
 print("Small worked dataset: x = 1..4, y = (1, 2, 2, 3)")
 d = Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1.0, 2.0, 2.0, 3.0]))
-print(f"  loss value (determinants only) : {loss_value_det(d):.15f}   [sqrt(0.2)]")
-print(f"  correlation (determinants only): {multiple_correlation_det(d):.15f}   [sqrt(0.9)]")
-print(f"  mean squared loss              : {mean_squared_loss(d):.15f}   [0.2 / 3]")
+det_only = regression_report(d, solve=False)
+print(f"  loss value (determinants only) : {det_only.loss_value:.15f}   [sqrt(0.2)]")
+print(f"  correlation (determinants only): {det_only.correlation:.15f}   [sqrt(0.9)]")
+print(f"  mean squared loss              : {det_only.mean_squared_loss:.15f}   [0.2 / 3]")
 
-a = normal_solve(d)
+solved = regression_report(d)
+a = solved.coefficients
 print()
 print(f"Now the actual fit: intercept {a[0]:.4f}, slope {a[1]:.4f}")
 print(f"  residual-norm loss             : {loss_value_residual(d, a):.15f}")
-print(f"  cosine-form correlation        : {multiple_correlation_projection(d):.15f}")
+print(f"  cosine-form correlation        : {solved.correlation_projection:.15f}")
 
 print()
 print("A larger random dataset, 200 samples, 6 regressors")
@@ -45,10 +39,13 @@ x = rng.uniform(-1, 1, (200, 6))
 y = x @ rng.uniform(-1, 1, 6) + 0.25 * rng.uniform(-1, 1, 200)
 d2 = Dataset(x, y)
 
-delta_det = loss_value_det(d2)
-delta_res = loss_value_residual(d2, normal_solve(d2))
-rho_det = multiple_correlation_det(d2)
-rho_proj = multiple_correlation_projection(d2)
+# one factor of the centered data gives both determinant-route numbers, and
+# one solve the coefficients and the cosine-form correlation
+rep = regression_report(d2)
+delta_det = rep.loss_value
+delta_res = loss_value_residual(d2, rep.coefficients)
+rho_det = rep.correlation
+rho_proj = rep.correlation_projection
 print(f"  loss: determinant route {delta_det:.12f} vs solve route {delta_res:.12f}")
 print(f"  correlation: determinant route {rho_det:.12f} vs cosine route {rho_proj:.12f}")
 print(f"  agreement: {abs(delta_det - delta_res):.3e} and {abs(rho_det - rho_proj):.3e}")

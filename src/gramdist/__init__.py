@@ -19,7 +19,6 @@ from .errors import (
     RaggedRows,
     RankDeficient,
     ShapeError,
-    ZeroProjection,
     ZeroVariance,
 )
 from .linalg import (
@@ -44,12 +43,7 @@ from .regression import (
     RegressionReport,
     centered_rank,
     design_rank,
-    loss_value_det,
     loss_value_residual,
-    mean_squared_loss,
-    multiple_correlation_det,
-    multiple_correlation_projection,
-    normal_solve,
     regression_report,
 )
 
@@ -74,7 +68,6 @@ __all__ = [
     "SplitMix64",
     "SuiteResult",
     "SUITE_NAMES",
-    "ZeroProjection",
     "ZeroVariance",
     "augment",
     "centered_rank",
@@ -87,14 +80,8 @@ __all__ = [
     "gram_logdet",
     "gram_logdets",
     "householder_qr",
-    "loss_value_det",
     "loss_value_residual",
-    "mean_squared_loss",
     "minor_sum",
-    "mix64",
-    "multiple_correlation_det",
-    "multiple_correlation_projection",
-    "normal_solve",
     "orthogonal_minor_vector",
     "regression_report",
     "run_all",
@@ -106,7 +93,6 @@ __all__ = [
 _LAZY = {
     "SplitMix64": "rng",
     "derive_seed": "rng",
-    "mix64": "rng",
     "SUITE_NAMES": "verify",
     "SuiteResult": "verify",
     "run_all": "verify",

@@ -161,8 +161,8 @@ def distance_projection(a, b) -> DistanceResult:
     sqrt(b*b - b*A (A*A)^-1 A*b), but evaluating the residual vector avoids
     the sqrt(eps)-level cancellation floor that the quadratic-form difference
     hits when b lies (nearly) in the column space.  A failed factorization is
-    reported as :class:`RankDeficient`, and a Gram matrix A* A that overflows
-    as :class:`OverflowError`.
+    reported as :class:`RankDeficient`, and an A* A or A* b that overflows as
+    :class:`OverflowError`, whose message names the operand.
 
     A is read in row-major order, a copy only for other layouts, so the
     value does not depend on the caller's layout.
@@ -182,8 +182,10 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     and an entry of A* A or A* b that overflows as :class:`OverflowError`.
     """
     gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(gram).all():
         raise OverflowError("Gram matrix of A does not fit a double")
+    if not np.isfinite(rhs).all():
+        raise OverflowError("A* b does not fit a double")
     try:
         return solve_hermitian_psd(gram, rhs)
     except NotPositiveDefinite as exc:

@@ -32,10 +32,6 @@ class ZeroVariance(GramDistError):
     """The centered target vector is numerically zero."""
 
 
-class ZeroProjection(GramDistError):
-    """The projection of the centered target onto the regressors is numerically zero."""
-
-
 class CsvError(GramDistError):
     """Base class for CSV ingestion failures."""
 

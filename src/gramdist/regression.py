@@ -1,11 +1,12 @@
 """Centered multiple linear regression over real data.
 
-The minimized residual norm (the loss value) and the multiple correlation
-coefficient both come in two flavors: the classical route through the normal
-equations, and a determinant route that needs no solve at all -- the loss is
-the square root of the ratio of two centered Gram determinants, and the
-correlation follows from it by Pythagoras.  Both determinants are read off
-one triangular factor of (Xc|yc).
+One triangular factor R of (Xc|yc), the data less its column means, gives
+the regression numbers without a solve: the minimized residual norm (the
+loss value) is |r[n, n]|, the square root of the ratio of two centered Gram
+determinants, and the multiple correlation follows from it by Pythagoras.
+The classical route through the normal equations gives the coefficients
+and a second correlation to check against.  :func:`regression_report`
+computes them all, each step once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import _normal_solution, _stacked
-from .errors import DimensionMismatch, RankDeficient, ZeroProjection, ZeroVariance
+from .errors import DimensionMismatch, RankDeficient, ZeroVariance
 from .linalg import EPS, _array, _frozen
 from .qr import _count_above, householder_qr
 
@@ -77,12 +78,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RegressionReport:
-    """Everything the regress front end emits in one bundle.
+    """Every number of a centered regression, from :func:`regression_report`.
 
-    correlation is always the determinant-route value; the projection-route
-    value is kept separately because it is undefined when the projection of
-    the centered target vanishes (flags records that discrepancy).
-    coefficients (intercept first) are present whenever the report solved.
+    loss_value and correlation are the determinant-route values, read off
+    the factor of (Xc|yc) with no solve, and mean_squared_loss is
+    loss_value squared over m - 1.  coefficients (intercept first) and the
+    projection-route correlation_projection come from the solve and are
+    None without it; correlation_projection is also None when the
+    projection of the centered target vanishes, which flags records.
     """
 
     loss_value: float
@@ -142,45 +145,6 @@ def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     return _equilibrated_rank(r, np.linalg.norm(d.x, axis=0), d.m)
 
 
-def _fit(d: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Xc, yc, R): the data less its column means and the unpivoted
-    triangular factor R of (Xc|yc), with full rank of Xc checked.
-
-    The leading n x n block of R is the factor of Xc, so the rank is decided
-    on Xc alone, by :func:`_centered_rank_of_r` with one count, and the
-    target column's entries stay plain values whatever the scale of y.
-    (Xc|yc) is stacked once, column-major, and factored in place.  Raises
-    :class:`RankDeficient` when that rank is below n.
-    """
-    n = d.n
-    if d.m < n + 1:
-        raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    xc, yc = d.x - d.x.mean(axis=0), d.y - float(d.y.mean())
-    r = householder_qr(_stacked(xc, yc), overwrite_a=True)
-    if _centered_rank_of_r(r[:n, :n], d) < n:
-        raise RankDeficient("centered sample matrix is rank deficient at tolerance")
-    return xc, yc, r
-
-
-def _solve_centered(d: Dataset, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    a1 = _normal_solution(xc, yc)
-    alpha0 = float(d.y.mean()) - float(a1 @ d.x.mean(axis=0))
-    return _frozen(np.concatenate([[alpha0], a1]))
-
-
-def normal_solve(d: Dataset) -> np.ndarray:
-    """Least-squares coefficients (intercept first) via the centered system.
-
-    Solves the n x n centered normal equations for the slope part, then
-    recovers the intercept from the mean equation.  This is better
-    conditioned than attacking the (n+1) x (n+1) system head on.  Raises
-    :class:`RankDeficient` when Xc fails the rank test of the regression
-    report, or the Cholesky factorization of Xc' Xc fails its pivot check.
-    """
-    xc, yc, _ = _fit(d)
-    return _solve_centered(d, xc, yc)
-
-
 def loss_value_residual(d: Dataset, a) -> float:
     """Exact residual norm ||(1|X) a - y|| for a given coefficient vector."""
     av = _real(a, 1)
@@ -191,98 +155,74 @@ def loss_value_residual(d: Dataset, a) -> float:
     return float(np.linalg.norm(_design(d) @ av - d.y))
 
 
-def loss_value_det(d: Dataset) -> float:
-    """Minimized loss value from centered Gram determinants, no solve.
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v / s, s) for s the power of two just above max|v| (1 for a zero v).
 
-    sqrt(det((Xc|yc)' (Xc|yc)) / det(Xc' Xc)).  Both determinants are
-    products over the diagonal of one triangular factor R of (Xc|yc), so
-    the ratio is |r[n, n]|.  Raises :class:`RankDeficient` when the centered
-    sample matrix is not full rank.
+    The division is exact, so norms and dot products of v / s are those of
+    v scaled bit for bit, and their squares stay in the double range.
     """
-    r = _fit(d)[2]
-    return float(abs(r[d.n, d.n]))
-
-
-def multiple_correlation_projection(d: Dataset) -> float:
-    """Correlation as the cosine between the centered target and its projection.
-
-    Needs the regression solve; undefined (ZeroProjection) when the projected
-    target is numerically zero.
-    """
-    rho = regression_report(d).correlation_projection
-    if rho is None:
-        raise ZeroProjection("projection of the centered target is zero at tolerance")
-    return rho
-
-
-def multiple_correlation_det(d: Dataset) -> float:
-    """Correlation from Gram determinants alone, no solve.
-
-    The paper's sqrt(1 - det((Xc|yc)' (Xc|yc)) / (det(Xc' Xc) * yc'yc)).
-    On the triangular factor R of (Xc|yc) the radicand is
-    1 - |r[n, n]|^2 / ||r[:, n]||^2 = ||r[:n, n]||^2 / ||r[:, n]||^2, so the
-    subtraction is exact and the value needs no clamp.
-    """
-    return regression_report(d, solve=False).correlation
-
-
-def _fits(*values: float) -> None:
-    """Raise OverflowError unless every value is finite."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError("a result of the regression does not fit a double")
-
-
-def mean_squared_loss(d: Dataset) -> float:
-    """loss_value_det squared over (m - 1).  Raises OverflowError when that
-    square does not fit a double."""
-    v = loss_value_det(d)
-    mse = v * v / (d.m - 1)
-    _fits(mse)
-    return mse
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(v), initial=0.0)))[1])
+    return v / s, s
 
 
 def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
-    """Assemble the full report, running each step once.
+    """Every number of the regression of d, each step run once.
 
-    The solve gives the coefficients (intercept first) and the
-    projection-route correlation.  With solve=False only the
-    determinant-route numbers are produced, which demonstrates that loss and
-    correlation need no regression solve.  The rank is decided once, by
-    one count of the regression layer's rank rule on the factor of the
-    centered sample matrix (:func:`_centered_rank_of_r`), before the
-    target's variance: data that is both rank deficient and constant in y
-    raises :class:`RankDeficient`.  A target with zero variance at
-    tolerance raises :class:`ZeroVariance`.  When the projection-route
-    correlation is undefined (zero projection) while the determinant route
-    gives 0, the discrepancy is recorded in flags.  The solve keeps the
-    Cholesky pivot check of :func:`normal_solve`.  A number of the report
-    that is not finite, such as a squared loss past the double range,
-    raises OverflowError.
+    (Xc|yc) is stacked once, column-major, and factored in place.  The
+    leading n x n block of its factor R is the factor of Xc, so the rank is
+    decided on Xc alone, by one count of :func:`_centered_rank_of_r`, and
+    the target column stays a plain value whatever the scale of y.  The
+    rank comes first: data that has fewer than n + 1 samples or is rank
+    deficient raises :class:`RankDeficient`, even with a constant y.  A
+    target with zero variance at tolerance raises :class:`ZeroVariance`.
+
+    With no solve, the loss value is |r[n, n]| and the correlation
+    ||r[:n, n]|| / ||r[:, n]||: the paper's radicand
+    1 - |r[n, n]|^2 / ||r[:, n]||^2 with the subtraction done exactly, so
+    no clamp is needed.  The solve gives the coefficients, intercept first,
+    from the n x n centered normal equations (better conditioned than the
+    system of (1|X)) and the mean equation, where a failed Cholesky pivot
+    raises :class:`RankDeficient`, and the projection-route correlation;
+    when the projection vanishes, flags records that the determinant route
+    gives 0.  Norms and the dot product
+    are taken on :func:`_scaled` vectors, so only a number that does not
+    fit a double itself, such as the squared loss at a huge y, raises
+    OverflowError.
     """
-    xc, yc, r = _fit(d)
     n = d.n
+    if d.m < n + 1:
+        raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
+    x_mean, y_mean = d.x.mean(axis=0), float(d.y.mean())
+    xc, yc = d.x - x_mean, d.y - y_mean
+    r = householder_qr(_stacked(xc, yc), overwrite_a=True)
+    if _centered_rank_of_r(r[:n, :n], d) < n:
+        raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     loss = float(abs(r[n, n]))
-    ny = float(np.linalg.norm(yc))
+    ys, y_scale = _scaled(yc)
+    ny = float(np.linalg.norm(ys))
     tol = d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
-    if ny <= tol:
+    if ny * y_scale <= tol:
         raise ZeroVariance("target vector has zero sample variance at tolerance")
     rho_proj = None
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
-        coefs = _solve_centered(d, xc, yc)
-        p_hat = xc @ coefs[1:]
-        npn = float(np.linalg.norm(p_hat))
-        if npn <= tol:
+        a1 = _normal_solution(xc, yc)
+        coefs = _frozen(np.concatenate([[y_mean - float(a1 @ x_mean)], a1]))
+        ps, p_scale = _scaled(xc @ coefs[1:])
+        npn = float(np.linalg.norm(ps))
+        if npn * p_scale <= tol:
             flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
         else:
-            rho_proj = float(yc @ p_hat) / (npn * ny)
-    rho = float(np.linalg.norm(r[:n, n]) / np.linalg.norm(r[:, n]))
+            rho_proj = float(ys @ ps) / (npn * ny)
+    rs = _scaled(r[:, n])[0]
+    rho = float(np.linalg.norm(rs[:n]) / np.linalg.norm(rs))
     mse = loss * loss / (d.m - 1)
     shown = [loss, rho, mse]
     if solve:
         shown += [*coefs.tolist(), 0.0 if rho_proj is None else rho_proj]
-    _fits(*shown)
+    if not all(map(math.isfinite, shown)):
+        raise OverflowError("a result of the regression does not fit a double")
     return RegressionReport(
         loss_value=loss,
         correlation=rho,

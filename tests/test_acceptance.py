@@ -19,8 +19,7 @@ from gramdist import (
     Dataset,
     centered_rank,
     design_rank,
-    loss_value_det,
-    multiple_correlation_det,
+    regression_report,
 )
 from gramdist.verify import run_suite
 
@@ -71,9 +70,10 @@ def test_criterion_3_minor_sum_identity():
 def test_criterion_4_loss_value_equivalence():
     s, elapsed = run_timed("loss_value_equivalence", 500)
     d = Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1.0, 2.0, 2.0, 3.0]))
+    rep = regression_report(d, solve=False)
     fixture_ok = (
-        abs(loss_value_det(d) - math.sqrt(0.2)) <= 1e-10
-        and abs(multiple_correlation_det(d) - math.sqrt(0.9)) <= 1e-10
+        abs(rep.loss_value - math.sqrt(0.2)) <= 1e-10
+        and abs(rep.correlation - math.sqrt(0.9)) <= 1e-10
     )
     ok = s.failures == 0 and s.max_dev <= 1e-8 and fixture_ok
     report(

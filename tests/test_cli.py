@@ -140,6 +140,21 @@ class TestDist:
         assert results["distance_projection"] is None
         assert results["distance_det"] == det and results["distance_qr"] == qr
 
+    def test_overflowing_rhs_keeps_the_factor_routes(self, capsys, tmp_path):
+        # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
+        # it: the projection route is undefined, the other two answer
+        rng = np.random.default_rng(1)
+        a, b = 1e150 * rng.standard_normal((40, 6)), 1e160 * rng.standard_normal(40)
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+        ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(6)) + "\n" + rows)
+        vb = write(tmp_path, "b.csv", "v\n" + "".join(f"{v!r}\n" for v in b.tolist()))
+        with np.errstate(all="ignore"):
+            code, out = run(capsys, ["dist", "--matrix", ma, "--vector", vb])
+        assert code == 0
+        assert line_value(out, "distance_projection") == "undefined"
+        det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
+        assert 1e160 < qr < 1e162 and abs(det - qr) <= 1e-11 * qr
+
 
 class TestGramCheck:
     def test_unit_fixture(self, capsys, tmp_path):
@@ -240,8 +255,8 @@ class TestRegress:
             assert code == 2
 
     def test_result_beyond_a_double_exits_1(self, capsys, tmp_path):
-        # y at 1e200 overflows the squared loss and the correlation's norms:
-        # an error on stderr and nothing on stdout, not nan with exit 0
+        # y at 1e200 overflows the squared loss: an error on stderr and
+        # nothing on stdout, not inf with exit 0
         rng = np.random.default_rng(6)
         x = rng.standard_normal(50)
         y = 1e200 * (x + rng.standard_normal(50))

@@ -575,6 +575,16 @@ class TestScaledInputs:
         assert abs(qr - ref) <= 1e-13 * ref
         assert abs(det - ref) <= 1e-11 * ref
 
+    def test_overflowing_rhs_is_named(self):
+        # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
+        # it: the error names A* b, not the Gram matrix
+        rng = np.random.default_rng(1)
+        a, b = 1e150 * rng.standard_normal((40, 6)), 1e160 * rng.standard_normal(40)
+        with np.errstate(all="ignore"):
+            with pytest.raises(OverflowError, match=r"^A\* b does not fit a double$"):
+                distance_projection(a, b)
+            assert 1e160 < distance_qr(a, b).value < 1e162
+
 
 class TestMemory:
     """Each tall QR operand is one private copy of the input, factored in

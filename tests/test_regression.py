@@ -1,5 +1,6 @@
-"""Centered regression: normal equations, the determinant route for the loss
-value and the correlation, the rank rule, and the report assembly.
+"""Centered regression: the coefficients of the normal equations, the
+determinant route for the loss value and the correlation, the rank rule,
+and the report that assembles them.
 
 The hand-worked fixture x = (1,2,3,4), y = (1,2,2,3) anchors everything:
 slope 0.6, intercept 0.5, residuals (-0.1, 0.3, -0.3, 0.1), loss sqrt(0.2),
@@ -17,17 +18,11 @@ from gramdist import (
     DimensionMismatch,
     GramDistError,
     RankDeficient,
-    ZeroProjection,
     ZeroVariance,
     centered_rank,
     design_rank,
     householder_qr,
-    loss_value_det,
     loss_value_residual,
-    mean_squared_loss,
-    multiple_correlation_det,
-    multiple_correlation_projection,
-    normal_solve,
     regression_report,
 )
 from gramdist.cli import main
@@ -126,38 +121,34 @@ class TestDataset:
 
 class TestNormalSolve:
     def test_exact_line_through_origin(self, perfect_fit):
-        np.testing.assert_allclose(normal_solve(perfect_fit), [0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(regression_report(perfect_fit).coefficients, [0.0, 2.0], atol=1e-12)
 
     def test_hand_fixture(self, line_fixture):
-        np.testing.assert_allclose(normal_solve(line_fixture), [0.5, 0.6], atol=1e-12)
-
-    def test_constant_target(self):
-        d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([7.0, 7.0, 7.0]))
-        np.testing.assert_allclose(normal_solve(d), [7.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(regression_report(line_fixture).coefficients, [0.5, 0.6], atol=1e-12)
 
     def test_rank_deficient_rejected(self):
         x = np.column_stack([np.arange(4.0), np.arange(4.0)])
         with pytest.raises(RankDeficient):
-            normal_solve(Dataset(x, np.ones(4)))
+            regression_report(Dataset(x, np.ones(4)))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(RankDeficient):
-            normal_solve(Dataset(np.ones((1, 1)), np.ones(1)))
+            regression_report(Dataset(np.ones((1, 1)), np.ones(1)))
 
     def test_constant_column_with_inexact_mean_rejected(self):
         for d in centering_residue_datasets():
             with pytest.raises(RankDeficient):
-                normal_solve(d)
+                regression_report(d)
 
     def test_mean_equation(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             d = random_dataset(rng, 20, 3)
-            a = normal_solve(d)
+            a = regression_report(d).coefficients
             assert abs(d.y.mean() - (a[0] + a[1:] @ d.x.mean(axis=0))) <= 1e-10
 
     def test_minimality_of_solution(self, line_fixture):
-        a = normal_solve(line_fixture)
+        a = regression_report(line_fixture).coefficients
         base = loss_value_residual(line_fixture, a)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -167,7 +158,7 @@ class TestNormalSolve:
 
 class TestLossValueResidual:
     def test_perfect_fit(self, perfect_fit):
-        a = normal_solve(perfect_fit)
+        a = regression_report(perfect_fit).coefficients
         assert loss_value_residual(perfect_fit, a) <= 1e-12
 
     def test_hand_residuals(self, line_fixture):
@@ -186,11 +177,11 @@ class TestLossValueResidual:
 
 class TestLossValueDet:
     def test_perfect_fit_is_zero(self, perfect_fit):
-        assert loss_value_det(perfect_fit) <= 1e-9
+        assert regression_report(perfect_fit, solve=False).loss_value <= 1e-9
 
     def test_hand_fixture(self, line_fixture):
         # centered Grams: [[5, 3], [3, 2]] augmented (det 1) over [5]
-        assert abs(loss_value_det(line_fixture) - SQRT_02) <= 1e-10
+        assert abs(regression_report(line_fixture, solve=False).loss_value - SQRT_02) <= 1e-10
 
     def test_matches_residual_route(self):
         rng = np.random.default_rng(11)
@@ -198,8 +189,9 @@ class TestLossValueDet:
             n = int(rng.integers(1, 9))
             m = int(rng.integers(n + 2, 41))
             d = random_dataset(rng, m, n)
-            dd = loss_value_det(d)
-            dr = loss_value_residual(d, normal_solve(d))
+            rep = regression_report(d)
+            dd = rep.loss_value
+            dr = loss_value_residual(d, rep.coefficients)
             assert abs(dd - dr) <= 1e-8 * max(dd, dr, 1e-30)
 
     def test_exact_interpolation_both_routes_vanish(self):
@@ -210,38 +202,39 @@ class TestLossValueDet:
             n = int(rng.integers(1, 6))
             d = random_dataset(rng, n + 1, n)
             scale = np.linalg.norm(d.y)
-            assert loss_value_det(d) <= 1e-12 * max(scale, 1.0)
-            assert loss_value_residual(d, normal_solve(d)) <= 1e-9 * max(scale, 1.0)
+            rep = regression_report(d)
+            assert rep.loss_value <= 1e-12 * max(scale, 1.0)
+            assert loss_value_residual(d, rep.coefficients) <= 1e-9 * max(scale, 1.0)
 
     def test_rank_deficient_rejected(self):
         x = np.column_stack([np.arange(4.0), 2.0 * np.arange(4.0)])
         with pytest.raises(RankDeficient):
-            loss_value_det(Dataset(x, np.ones(4)))
+            regression_report(Dataset(x, np.ones(4)), solve=False)
 
 
 class TestCorrelation:
     def test_perfect_fit_is_one(self, perfect_fit):
-        assert abs(multiple_correlation_projection(perfect_fit) - 1.0) <= 1e-10
-        assert abs(multiple_correlation_det(perfect_fit) - 1.0) <= 1e-9
+        rep = regression_report(perfect_fit)
+        assert abs(rep.correlation_projection - 1.0) <= 1e-10
+        assert abs(rep.correlation - 1.0) <= 1e-9
 
     def test_hand_fixture_both_routes(self, line_fixture):
-        assert abs(multiple_correlation_projection(line_fixture) - SQRT_09) <= 1e-12
-        assert abs(multiple_correlation_det(line_fixture) - SQRT_09) <= 1e-12
+        rep = regression_report(line_fixture)
+        assert abs(rep.correlation_projection - SQRT_09) <= 1e-12
+        assert abs(rep.correlation - SQRT_09) <= 1e-12
 
     def test_constant_target_is_zero_variance(self):
         d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([5.0, 5.0, 5.0]))
-        with pytest.raises(ZeroVariance):
-            multiple_correlation_projection(d)
-        with pytest.raises(ZeroVariance):
-            multiple_correlation_det(d)
+        for kwargs in ({}, {"solve": False}):
+            with pytest.raises(ZeroVariance):
+                regression_report(d, **kwargs)
 
     def test_orthogonal_target(self):
         # centered x is (-1, 0, 1); y = (1, -2, 1) is already centered and
-        # orthogonal to it, so the determinant route gives exactly 0
+        # orthogonal to it, so the determinant route gives exactly 0 (the
+        # undefined projection route is test_zero_projection_is_flagged's)
         d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, -2.0, 1.0]))
-        assert multiple_correlation_det(d) <= 1e-9
-        with pytest.raises(ZeroProjection):
-            multiple_correlation_projection(d)
+        assert regression_report(d, solve=False).correlation <= 1e-9
 
     def test_routes_agree_and_stay_in_range(self):
         rng = np.random.default_rng(13)
@@ -249,8 +242,8 @@ class TestCorrelation:
             m = int(rng.integers(3, 41))
             n = int(rng.integers(1, min(m - 1, 8) + 1))
             d = random_dataset(rng, m, n)
-            rho_d = multiple_correlation_det(d)
-            rho_p = multiple_correlation_projection(d)
+            rep = regression_report(d)
+            rho_d, rho_p = rep.correlation, rep.correlation_projection
             assert abs(rho_d - rho_p) <= 1e-8
             assert -1e-12 <= rho_d <= 1.0 + 1e-12
             assert -1e-12 <= rho_p <= 1.0 + 1e-12
@@ -261,8 +254,8 @@ class TestCorrelation:
             m = int(rng.integers(4, 31))
             n = int(rng.integers(1, min(m - 1, 6) + 1))
             d = random_dataset(rng, m, n)
-            rho = multiple_correlation_det(d)
-            delta = loss_value_det(d)
+            rep = regression_report(d, solve=False)
+            rho, delta = rep.correlation, rep.loss_value
             yc = d.y - d.y.mean()
             ny2 = float(yc @ yc)
             assert abs(rho * rho + delta * delta / ny2 - 1.0) <= 1e-8
@@ -273,19 +266,20 @@ class TestCorrelation:
         rng = np.random.default_rng(31)
         d = random_dataset(rng, 50, 2)
         tiny = Dataset(d.x, d.y * 1e-14)
-        delta, rho = loss_value_det(d), multiple_correlation_det(d)
-        assert abs(loss_value_det(tiny) - 1e-14 * delta) <= 1e-12 * 1e-14 * delta
-        assert abs(multiple_correlation_det(tiny) - rho) <= 1e-12
-        assert abs(multiple_correlation_projection(tiny) - rho) <= 1e-8
+        base, rep = regression_report(d, solve=False), regression_report(tiny)
+        delta, rho = base.loss_value, base.correlation
+        assert abs(rep.loss_value - 1e-14 * delta) <= 1e-12 * 1e-14 * delta
+        assert abs(rep.correlation - rho) <= 1e-12
+        assert abs(rep.correlation_projection - rho) <= 1e-8
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(19)
         d = random_dataset(rng, 15, 3)
-        rho0 = multiple_correlation_det(d)
-        delta0 = loss_value_det(d)
-        shifted = Dataset(d.x + 100.0, d.y - 7.5)
-        assert abs(multiple_correlation_det(shifted) - rho0) <= 1e-9 * max(rho0, 1e-30)
-        assert abs(loss_value_det(shifted) - delta0) <= 1e-9 * max(delta0, 1e-30)
+        base = regression_report(d, solve=False)
+        rho0, delta0 = base.correlation, base.loss_value
+        rep = regression_report(Dataset(d.x + 100.0, d.y - 7.5), solve=False)
+        assert abs(rep.correlation - rho0) <= 1e-9 * max(rho0, 1e-30)
+        assert abs(rep.loss_value - delta0) <= 1e-9 * max(delta0, 1e-30)
 
 
 class TestRankRelation:
@@ -360,14 +354,14 @@ class TestRankRelation:
 
 class TestMeanSquaredLoss:
     def test_perfect_fit(self, perfect_fit):
-        assert mean_squared_loss(perfect_fit) <= 1e-18
+        assert regression_report(perfect_fit, solve=False).mean_squared_loss <= 1e-18
 
     def test_hand_fixture(self, line_fixture):
-        assert abs(mean_squared_loss(line_fixture) - 0.2 / 3.0) <= 1e-10
+        assert abs(regression_report(line_fixture, solve=False).mean_squared_loss - 0.2 / 3.0) <= 1e-10
 
     def test_two_point_exact_fit(self):
         d = Dataset(np.array([[0.0], [1.0]]), np.array([3.0, 5.0]))
-        assert mean_squared_loss(d) <= 1e-18
+        assert regression_report(d, solve=False).mean_squared_loss <= 1e-18
 
 
 class TestRegressionReport:
@@ -524,8 +518,8 @@ class TestRegressionReport:
             assert abs(rep.correlation - base.correlation) <= 8 * EPS * base.correlation, (j, k)
 
     def test_result_beyond_a_double_raises_overflow(self):
-        # y at 1e200: the squared loss and the norms behind both
-        # correlations overflow, which is an error, not an inf or a nan
+        # y at 1e200: the squared loss overflows, which is an error, not an
+        # inf or a nan
         rng = np.random.default_rng(6)
         x = rng.standard_normal((50, 2))
         d = Dataset(x, 1e200 * (x @ np.array([1.0, -1.0]) + rng.standard_normal(50)))
@@ -533,9 +527,25 @@ class TestRegressionReport:
             for kwargs in ({}, {"solve": False}):
                 with pytest.raises(OverflowError):
                     regression_report(d, **kwargs)
-            with pytest.raises(OverflowError):
-                mean_squared_loss(d)
-            assert math.isfinite(loss_value_det(d))
+
+    @pytest.mark.parametrize("k", [510, 515])
+    def test_results_that_fit_a_double_survive_a_huge_target(self, k):
+        # y at 2^k: the squares behind the norms and the dot product of
+        # the two correlations leave the double range, the numbers do not;
+        # the norms are taken on power-of-two scaled vectors, so the report
+        # scales exactly with y
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((50, 2))
+        y = x @ np.array([1.0, -1.0]) + 1e-3 * rng.standard_normal(50)
+        for solve in (True, False):
+            base = regression_report(Dataset(x, y), solve=solve)
+            rep = regression_report(Dataset(x, math.ldexp(1.0, k) * y), solve=solve)
+            assert rep.correlation == base.correlation
+            assert rep.correlation_projection == base.correlation_projection
+            assert rep.loss_value == math.ldexp(base.loss_value, k)
+            assert rep.mean_squared_loss > 1e300
+            if solve:
+                assert np.array_equal(rep.coefficients, np.ldexp(base.coefficients, k))
 
     def test_centering_residue_rejected_with_and_without_solve(self):
         for d in centering_residue_datasets():
@@ -553,19 +563,14 @@ class TestRegressionReport:
 
 class TestErrorPrecedence:
     def test_rank_deficiency_wins_over_zero_variance(self, tmp_path, capsys):
-        # duplicated regressors and a constant target: every entry point
-        # decides the rank first, as the regress command does
+        # duplicated regressors and a constant target: the report decides
+        # the rank first, with and without the solve, as the regress command
+        # does
         x = np.column_stack([np.arange(4.0), np.arange(4.0)])
         d = Dataset(x, np.full(4, 7.0))
-        for fn in (
-            multiple_correlation_det,
-            multiple_correlation_projection,
-            loss_value_det,
-            normal_solve,
-            regression_report,
-        ):
+        for solve in (True, False):
             with pytest.raises(RankDeficient):
-                fn(d)
+                regression_report(d, solve=solve)
         path = tmp_path / "d.csv"
         path.write_text("a,b,y\n" + "".join(f"{v},{v},7\n" for v in range(4)), encoding="utf-8")
         assert main(["regress", "--data", str(path), "--target", "y"]) == 2
