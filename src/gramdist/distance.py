@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _frozen, _gram, solve_hermitian_psd
+from .linalg import LogDet, _array, _frozen, _gram, _norm, solve_hermitian_psd
 from .qr import (
     _certifies_full_rank,
     _logdet_at_rank,
@@ -170,7 +170,7 @@ def distance_projection(a, b) -> DistanceResult:
     mat, vec = _operands(a, b)
     mat = np.ascontiguousarray(mat)
     x = _normal_solution(mat, vec)
-    return DistanceResult(float(np.linalg.norm(vec - mat @ x)), "projection")
+    return DistanceResult(_norm(vec - mat @ x), "projection")
 
 
 def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -224,8 +224,8 @@ def distance_qr(a, b) -> DistanceResult:
         # one SVD decides k and gives U; at k == n, U[:, k:] is empty and
         # the hypot returns value exactly
         u, s, _ = np.linalg.svd(r11)
-        k = int(np.sum(s > tol))
-        value = math.hypot(value, float(np.linalg.norm(u[:, k:].conj().T @ r[:n, n])))
+        k = int((s > tol).sum())
+        value = math.hypot(value, _norm(u[:, k:].conj().T @ r[:n, n]))
     return DistanceResult(value, "qr_coordinate")
 
 

@@ -10,6 +10,12 @@ distance and regression layers build for it to factor in place
 array.  Outputs come back with the writeable flag cleared, so
 every operation behaves as a pure function over values.
 
+A float64 or complex128 ndarray is validated by one finiteness pass and
+nothing else.  The norm helpers evaluate the expressions that
+``np.linalg.norm`` evaluates, bit for bit, without its argument handling:
+at the sizes ``verify`` runs, thousands of calls of at most 12x12, that
+handling costs more than the arithmetic.
+
 The two triangles of a Cholesky solve are solved by block substitution,
 O(n^2) for an n x n system, where an LU of each would be O(n^3).
 """
@@ -38,18 +44,41 @@ def _array(a, ndim: int) -> np.ndarray:
     positive, with finite entries.
 
     A float64 or complex128 ndarray comes back as itself, never copied;
-    other input is converted into a new array.
+    other input is converted into a new array.  That first case is tested
+    first and costs one finiteness pass.
     """
-    arr = np.asarray(a)
-    if arr.ndim != ndim:
-        raise ShapeError(f"expected a {ndim}-d array, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise ShapeError(f"matrix dimensions must be positive, got {arr.shape}"
-                         if ndim == 2 else "vector length must be positive")
-    out = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+    if (type(a) is np.ndarray and a.ndim == ndim and a.size
+            and (a.dtype == np.float64 or a.dtype == np.complex128)):
+        out = a
+    else:
+        arr = np.asarray(a)
+        if arr.ndim != ndim:
+            raise ShapeError(f"expected a {ndim}-d array, got ndim={arr.ndim}")
+        if arr.size == 0:
+            raise ShapeError(f"matrix dimensions must be positive, got {arr.shape}"
+                             if ndim == 2 else "vector length must be positive")
+        out = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if not np.isfinite(out).all():
         raise ValueError(f"{'matrix' if ndim == 2 else 'vector'} entries must be finite")
     return out
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of x: the expression that
+    ``np.linalg.norm(x, axis=0)`` evaluates, bit for bit, without its
+    argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a float64 or complex128 array as one vector:
+    ``np.linalg.norm(v)``'s own path, bit for bit.  The ravel stays, so a
+    strided v is dotted as the same contiguous copy."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -120,7 +149,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
     im(A* A)_ij = G[2i, 2j+1] - G[2i+1, 2j].  G is exactly symmetric, so
     the result is exactly hermitian, with a zero imaginary diagonal.
     """
-    if not np.iscomplexobj(a):
+    if a.dtype.kind != "c":
         return a.T @ a
     z = np.ascontiguousarray(a).view(np.float64)
     g = z.T @ z
@@ -160,13 +189,13 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}"
         )
-    tau = n * EPS * float(np.max(hm.diagonal().real))
+    tau = n * EPS * float(hm.diagonal().real.max())
     try:
         low = np.linalg.cholesky(hm)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    pivots = np.abs(np.diagonal(low)) ** 2
-    j = int(np.argmin(pivots))
+    pivots = np.abs(low.diagonal()) ** 2
+    j = int(pivots.argmin())
     if pivots[j] <= tau:
         raise NotPositiveDefinite(
             f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {tau!r}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distance import _normal_solution, _stacked
 from .errors import DimensionMismatch, RankDeficient, ZeroVariance
-from .linalg import EPS, _array, _frozen
+from .linalg import EPS, _array, _column_norms, _frozen, _norm
 from .qr import _count_above, householder_qr
 
 
@@ -123,7 +123,7 @@ def design_rank(d: Dataset) -> int:
     column and Xc is not.
     """
     a = _design(d)
-    return _equilibrated_rank(a, np.linalg.norm(a, axis=0), d.m)
+    return _equilibrated_rank(a, _column_norms(a), d.m)
 
 
 def centered_rank(d: Dataset) -> int:
@@ -142,7 +142,7 @@ def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     eps * ||x_j|| in column j of Xc: three samples of 0.1 center to a
     nonzero 1e-17.
     """
-    return _equilibrated_rank(r, np.linalg.norm(d.x, axis=0), d.m)
+    return _equilibrated_rank(r, _column_norms(d.x), d.m)
 
 
 def loss_value_residual(d: Dataset, a) -> float:
@@ -152,7 +152,7 @@ def loss_value_residual(d: Dataset, a) -> float:
         raise DimensionMismatch(
             f"expected {d.n + 1} coefficients, got {av.shape[0]}"
         )
-    return float(np.linalg.norm(_design(d) @ av - d.y))
+    return _norm(_design(d) @ av - d.y)
 
 
 def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,7 +161,7 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
     The division is exact, so norms and dot products of v / s are those of
     v scaled bit for bit, and their squares stay in the double range.
     """
-    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(v), initial=0.0)))[1])
+    s = math.ldexp(1.0, math.frexp(float(np.abs(v).max(initial=0.0)))[1])
     return v / s, s
 
 
@@ -199,8 +199,8 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     loss = float(abs(r[n, n]))
     ys, y_scale = _scaled(yc)
-    ny = float(np.linalg.norm(ys))
-    tol = d.m * EPS * max(1.0, float(np.max(np.abs(d.y))))
+    ny = _norm(ys)
+    tol = d.m * EPS * max(1.0, float(np.abs(d.y).max()))
     if ny * y_scale <= tol:
         raise ZeroVariance("target vector has zero sample variance at tolerance")
     rho_proj = None
@@ -210,13 +210,13 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
         a1 = _normal_solution(xc, yc)
         coefs = _frozen(np.concatenate([[y_mean - float(a1 @ x_mean)], a1]))
         ps, p_scale = _scaled(xc @ coefs[1:])
-        npn = float(np.linalg.norm(ps))
+        npn = _norm(ps)
         if npn * p_scale <= tol:
             flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
         else:
             rho_proj = float(ys @ ps) / (npn * ny)
     rs = _scaled(r[:, n])[0]
-    rho = float(np.linalg.norm(rs[:n]) / np.linalg.norm(rs))
+    rho = _norm(rs[:n]) / _norm(rs)
     mse = loss * loss / (d.m - 1)
     shown = [loss, rho, mse]
     if solve:

@@ -33,6 +33,7 @@ _MIX2 = 0x94D049BB133111EB
 _GAMMA_U64 = np.uint64(_GAMMA)
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def mix64(z: int) -> int:
@@ -88,13 +89,13 @@ class SplitMix64:
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= _GAMMA_U64
         z += np.uint64(self._state)
-        z ^= z >> np.uint64(30)
+        z ^= z >> _SHIFT30
         z *= _MIX1_U64
-        z ^= z >> np.uint64(27)
+        z ^= z >> _SHIFT27
         z *= _MIX2_U64
-        z ^= z >> np.uint64(31)
+        z ^= z >> _SHIFT31
         self._state = (self._state + k * _GAMMA) & MASK64
-        u = (z >> np.uint64(11)).astype(np.float64)
+        u = (z >> _SHIFT11).astype(np.float64)
         u *= 2.0**-52
         u -= 1.0
         return u

@@ -23,7 +23,8 @@ from gramdist import (
     householder_qr,
     solve_hermitian_psd,
 )
-from gramdist.linalg import EPS, _gram, _solve_triangular
+from gramdist.linalg import EPS, _array, _column_norms, _gram, _norm, _solve_triangular
+from gramdist.qr import _rank_tolerance
 
 
 def det_cofactor(a):
@@ -75,6 +76,115 @@ class TestValidation:
 
     def test_int_input_becomes_float(self):
         assert householder_qr([[1], [2]]).dtype == np.float64
+
+
+def _layouts(a):
+    """a as C-ordered, F-ordered, strided and read-only arrays of its dtype."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "strided": wide[..., ::2], "read-only": frozen}
+
+
+class TestArrayContract:
+    """_array passes a valid float64 or complex128 ndarray through as itself
+    and converts or refuses everything else as before."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_valid_arrays_come_back_as_themselves(self, dtype, ndim):
+        a = np.arange(1.0, 7.0).reshape((2, 3) if ndim == 2 else (6,)).astype(dtype)
+        for layout, arr in _layouts(a).items():
+            assert _array(arr, ndim) is arr, layout
+
+    def test_other_input_is_converted(self):
+        class Sub(np.ndarray):
+            pass
+
+        sub = np.ones((2, 2)).view(Sub)
+        for value, dtype in ((sub, np.float64), (np.ones((2, 2), np.int64), np.float64),
+                             (np.ones((2, 2), np.float32), np.float64),
+                             (np.ones((2, 2), np.complex64), np.complex128),
+                             ([[1, 2], [3, 4]], np.float64), ([[1j, 2], [3, 4]], np.complex128)):
+            out = _array(value, 2)
+            assert type(out) is np.ndarray and out.dtype == dtype
+            assert out is not value
+            np.testing.assert_array_equal(out, np.asarray(value))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.inf)])
+    def test_non_finite_entries_raise(self, bad):
+        vec = np.array([1.0, bad])
+        for value, ndim, what in ((vec, 1, "vector"), (vec[None, :], 2, "matrix"),
+                                  (vec.tolist(), 1, "vector")):
+            with pytest.raises(ValueError, match=f"^{what} entries must be finite$"):
+                _array(value, ndim)
+
+    def test_shapes_raise_the_same_shape_error(self):
+        for value, ndim, message in (
+                (np.float64(1.0), 2, "expected a 2-d array, got ndim=0"),
+                (np.array(1.0), 1, "expected a 1-d array, got ndim=0"),
+                (np.ones((2, 2, 2)), 2, "expected a 2-d array, got ndim=3"),
+                (np.zeros((0, 3)), 2, "matrix dimensions must be positive, got (0, 3)"),
+                (np.zeros((3, 0), np.complex128), 2, "matrix dimensions must be positive, got (3, 0)"),
+                (np.zeros(0), 1, "vector length must be positive")):
+            with pytest.raises(ShapeError) as info:
+                _array(value, ndim)
+            assert str(info.value) == message
+
+
+class TestNormHelpers:
+    """_column_norms and _norm return np.linalg.norm's bytes, on every layout
+    and across the double range."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(97)
+        for shape in ((1, 1), (1, 5), (7, 1), (12, 12), (40, 11)):
+            real = rng.standard_normal(shape)
+            for a in (real, real + 1j * rng.standard_normal(shape)):
+                for scale in (1.0, 2.0**600, 2.0**-600):
+                    for layout, arr in _layouts(a * scale).items():
+                        yield f"{a.dtype} {shape} {scale:g} {layout}", arr
+
+    def test_column_norms_are_numpys(self):
+        with np.errstate(over="ignore"):
+            for case, x in self.inputs():
+                ref = np.linalg.norm(x, axis=0)
+                got = _column_norms(x)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), case
+
+    def test_norm_is_numpys(self):
+        with np.errstate(over="ignore"):
+            for case, x in self.inputs():
+                for v in (x, x[:, 0], x[0]):
+                    assert np.float64(_norm(v)).tobytes() == np.linalg.norm(v).tobytes(), case
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_strided_column_of_a_c_ordered_factor(self, dtype):
+        rng = np.random.default_rng(101)
+        a = rng.standard_normal((30, 7)).astype(dtype)
+        if dtype == np.complex128:
+            a += 1j * rng.standard_normal((30, 7))
+        r = np.ascontiguousarray(householder_qr(a))
+        n = r.shape[1] - 1
+        col = r[:n, n]
+        assert not col.flags.c_contiguous
+        assert np.float64(_norm(col)).tobytes() == np.linalg.norm(col).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rank_tolerance_overflow_branch(self, dtype):
+        # at 1e160 the squares behind each column norm overflow, so the
+        # tolerance is taken on r / max|r| and scaled back
+        rng = np.random.default_rng(103)
+        r = rng.standard_normal((6, 5)).astype(dtype) * 1e160
+        with np.errstate(over="ignore"):
+            assert np.max(np.linalg.norm(r, axis=0)) == math.inf
+            big = float(np.max(np.abs(r)))
+            ref = 6 * EPS * (big * float(np.max(np.linalg.norm(r / big, axis=0))))
+            got = _rank_tolerance(r, 6)
+        assert math.isfinite(got) and got == ref
 
 
 class TestLogDet:

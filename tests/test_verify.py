@@ -89,3 +89,23 @@ class TestRunner:
         certified = run_all(seed=1, trials=20)
         monkeypatch.setattr(qr, "_certifies_full_rank", lambda a, tol: False)
         assert run_all(seed=1, trials=20) == certified
+
+    def test_norm_helpers_leave_the_suites_unchanged(self, monkeypatch):
+        # the same suites with every norm taken by np.linalg.norm itself must
+        # give the same results
+        import gramdist.distance
+        import gramdist.linalg
+        import gramdist.qr
+        import gramdist.regression
+
+        direct = run_all(seed=1, trials=20)
+        swaps = {gramdist.linalg._column_norms: lambda x: np.linalg.norm(x, axis=0),
+                 gramdist.linalg._norm: lambda v: float(np.linalg.norm(v))}
+        patched = 0
+        for mod in (gramdist.linalg, gramdist.qr, gramdist.regression, gramdist.distance):
+            for name, value in list(vars(mod).items()):
+                if callable(value) and value in swaps:
+                    monkeypatch.setattr(mod, name, swaps[value])
+                    patched += 1
+        assert patched == 6
+        assert run_all(seed=1, trials=20) == direct
