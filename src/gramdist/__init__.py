@@ -30,7 +30,6 @@ from .linalg import (
 from .qr import gram_logdet, householder_qr
 from .distance import (
     DistanceResult,
-    augment,
     distance_det,
     distance_projection,
     distance_qr,
@@ -69,7 +68,6 @@ __all__ = [
     "SuiteResult",
     "SUITE_NAMES",
     "ZeroVariance",
-    "augment",
     "centered_rank",
     "derive_seed",
     "design_rank",

@@ -9,7 +9,8 @@ Subcommands:
                     the coefficients for a CSV dataset.
 * ``verify``     -- the seeded property suites; the same seed draws the
                     same trials everywhere, and prints the same bytes on
-                    the same machine, numpy and BLAS build.
+                    the same machine, numpy and BLAS build, whatever the
+                    BLAS thread count.
 
 Exit codes: 0 ok, 1 input error, 2 rank-deficient, 3 zero variance,
 4 verification failure.  Numbers are printed as shortest round-trip decimals
@@ -17,8 +18,11 @@ Exit codes: 0 ok, 1 input error, 2 rank-deficient, 3 zero variance,
 
 ``main(argv)`` has no process-wide effect: it returns the exit code (argparse
 raises ``SystemExit`` for usage errors and ``--help``), and tests and the
-benchmark call it in-process.  Only ``verify`` imports the ``verify`` and
-``rng`` modules.  The process entry that freezes the import-time heap is
+benchmark call it in-process.  Each command runs under
+``np.errstate(over="ignore", invalid="ignore")``, so an overflow that a
+command handles prints no RuntimeWarning; a value that does not fit a
+double is never printed, it ends the command with exit 1.  Only
+``verify`` imports the ``verify`` and ``rng`` modules.  The process entry that freezes the import-time heap is
 ``gramdist.__main__.entry``.
 """
 
@@ -337,7 +341,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](args)
     except RankDeficient as exc:
         print(f"gramdist: rank-deficient: {exc}", file=sys.stderr)
         return EXIT_RANK

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _frozen, _gram, _norm, solve_hermitian_psd
+from .linalg import LogDet, _array, _column_norms, _frozen, _gram, solve_hermitian_psd
 from .qr import (
     _certifies_full_rank,
     _logdet_at_rank,
@@ -92,11 +92,6 @@ def _stacked(*blocks: np.ndarray) -> np.ndarray:
     out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
                    np.result_type(*cols), order="F")
     return np.concatenate(cols, axis=1, out=out)
-
-
-def augment(a, b) -> np.ndarray:
-    """The matrix A with b appended as its last column, column-major."""
-    return _frozen(_stacked(*_operands(a, b)))
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
@@ -170,7 +165,7 @@ def distance_projection(a, b) -> DistanceResult:
     mat, vec = _operands(a, b)
     mat = np.ascontiguousarray(mat)
     x = _normal_solution(mat, vec)
-    return DistanceResult(_norm(vec - mat @ x), "projection")
+    return DistanceResult(_column_norms(vec - mat @ x), "projection")
 
 
 def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -225,7 +220,7 @@ def distance_qr(a, b) -> DistanceResult:
         # the hypot returns value exactly
         u, s, _ = np.linalg.svd(r11)
         k = int((s > tol).sum())
-        value = math.hypot(value, _norm(u[:, k:].conj().T @ r[:n, n]))
+        value = math.hypot(value, _column_norms(u[:, k:].conj().T @ r[:n, n]))
     return DistanceResult(value, "qr_coordinate")
 
 
@@ -275,10 +270,13 @@ def minor_sum(a) -> float:
     Accumulated as an exactly rounded sum (``math.fsum``) of terms shifted
     in the log domain, so individual minors far above or below unit scale do
     not poison the intermediate terms.  Only the final result must fit a
-    double.
+    double; one that does not raises OverflowError.
     """
     logs = [2.0 * ld.log_mag for ld in _minor_logdets(a)[1] if not ld.is_zero]
     if not logs:
         return 0.0
     shift = max(logs)
-    return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in logs)))
+    try:
+        return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in logs)))
+    except OverflowError:
+        raise OverflowError("the sum of squared minors does not fit a double") from None

@@ -11,10 +11,12 @@ array.  Outputs come back with the writeable flag cleared, so
 every operation behaves as a pure function over values.
 
 A float64 or complex128 ndarray is validated by one finiteness pass and
-nothing else.  The norm helpers evaluate the expressions that
-``np.linalg.norm`` evaluates, bit for bit, without its argument handling:
-at the sizes ``verify`` runs, thousands of calls of at most 12x12, that
-handling costs more than the arithmetic.
+nothing else.  Every norm in the package is taken by ``_column_norms``:
+numpy's pairwise sum of the squares, the expression that
+``np.linalg.norm(x, axis=0)`` evaluates, without its argument handling,
+which costs more than the arithmetic at the sizes ``verify`` runs.  No
+norm is a BLAS dot product: OpenBLAS splits a long one across its threads,
+and a printed number would then depend on the BLAS thread count.
 
 The two triangles of a Cholesky solve are solved by block substitution,
 O(n^2) for an n x n system, where an LU of each would be O(n^3).
@@ -64,21 +66,10 @@ def _array(a, ndim: int) -> np.ndarray:
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column of x: the expression that
-    ``np.linalg.norm(x, axis=0)`` evaluates, bit for bit, without its
-    argument handling."""
+    """The 2-norm of each column of x, and of a 1-d x as one column: the
+    expression that ``np.linalg.norm(x, axis=0)`` evaluates, bit for bit,
+    without its argument handling."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
-
-
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a float64 or complex128 array as one vector:
-    ``np.linalg.norm(v)``'s own path, bit for bit.  The ravel stays, so a
-    strided v is dotted as the same contiguous copy."""
-    v = v.ravel(order="K")
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -121,13 +112,14 @@ class LogDet:
         """|det| as a plain double; raises OverflowError when it does not fit."""
         if self.is_zero:
             return 0.0
-        return math.exp(self.log_mag)
+        try:
+            return math.exp(self.log_mag)
+        except OverflowError:
+            raise OverflowError("the determinant does not fit a double") from None
 
     def value(self) -> complex:
         """The determinant itself; raises OverflowError when it does not fit."""
-        if self.is_zero:
-            return 0j
-        return self.phase * math.exp(self.log_mag)
+        return self.phase * self.magnitude()
 
     def conjugate(self) -> "LogDet":
         return LogDet(self.phase.conjugate(), self.log_mag)

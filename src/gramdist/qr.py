@@ -13,9 +13,10 @@ No rank is decided while factoring: a caller that needs one asks
 :func:`_rank_of_r` for it.  Every count of singular values above a
 tolerance goes through :func:`_count_above`, which first tries a shifted
 Cholesky certificate of full rank and runs an SVD only when that fails.
-Column norms come from ``linalg._column_norms`` and reductions are array
-methods, the same arithmetic as ``np.linalg.norm`` and ``np.max`` without
-their per-call Python cost, which dominates on small matrices.
+Column norms come from ``linalg._column_norms``, the one norm rule of the
+package, and reductions are array methods: the same arithmetic as
+``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
+cost, which dominates on small matrices.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distance import _normal_solution, _stacked
 from .errors import DimensionMismatch, RankDeficient, ZeroVariance
-from .linalg import EPS, _array, _column_norms, _frozen, _norm
+from .linalg import EPS, _array, _column_norms, _frozen
 from .qr import _count_above, householder_qr
 
 
@@ -152,16 +152,17 @@ def loss_value_residual(d: Dataset, a) -> float:
         raise DimensionMismatch(
             f"expected {d.n + 1} coefficients, got {av.shape[0]}"
         )
-    return _norm(_design(d) @ av - d.y)
+    return float(_column_norms(_design(d) @ av - d.y))
 
 
 def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(v / s, s) for s the power of two just above max|v| (1 for a zero v).
+    """(v / s, s) for s the power of two at or just below max|v| (1/2 for a
+    zero v), so that s fits a double for every finite v.
 
-    The division is exact, so norms and dot products of v / s are those of
-    v scaled bit for bit, and their squares stay in the double range.
+    The division is exact, so norms and inner products of v / s are those
+    of v scaled bit for bit, and their squares stay in the double range.
     """
-    s = math.ldexp(1.0, math.frexp(float(np.abs(v).max(initial=0.0)))[1])
+    s = math.ldexp(1.0, math.frexp(float(np.abs(v).max(initial=0.0)))[1] - 1)
     return v / s, s
 
 
@@ -184,7 +185,8 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     system of (1|X)) and the mean equation, where a failed Cholesky pivot
     raises :class:`RankDeficient`, and the projection-route correlation;
     when the projection vanishes, flags records that the determinant route
-    gives 0.  Norms and the dot product
+    gives 0.  Norms and the cosine's inner product are pairwise sums, not
+    BLAS dot products, so no value depends on the BLAS thread count; they
     are taken on :func:`_scaled` vectors, so only a number that does not
     fit a double itself, such as the squared loss at a huge y, raises
     OverflowError.
@@ -199,7 +201,7 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     loss = float(abs(r[n, n]))
     ys, y_scale = _scaled(yc)
-    ny = _norm(ys)
+    ny = _column_norms(ys)
     tol = d.m * EPS * max(1.0, float(np.abs(d.y).max()))
     if ny * y_scale <= tol:
         raise ZeroVariance("target vector has zero sample variance at tolerance")
@@ -210,13 +212,13 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
         a1 = _normal_solution(xc, yc)
         coefs = _frozen(np.concatenate([[y_mean - float(a1 @ x_mean)], a1]))
         ps, p_scale = _scaled(xc @ coefs[1:])
-        npn = _norm(ps)
+        npn = _column_norms(ps)
         if npn * p_scale <= tol:
             flags = ("zero_projection: cosine form undefined, determinant form gives 0",)
         else:
-            rho_proj = float(ys @ ps) / (npn * ny)
+            rho_proj = float((ys * ps).sum() / (npn * ny))
     rs = _scaled(r[:, n])[0]
-    rho = _norm(rs[:n]) / _norm(rs)
+    rho = float(_column_norms(rs[:n]) / _column_norms(rs))
     mse = loss * loss / (d.m - 1)
     shown = [loss, rho, mse]
     if solve:

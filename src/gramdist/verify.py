@@ -4,7 +4,10 @@ Every suite regenerates its trial instances from (seed, suite index, trial
 index) through :func:`gramdist.rng.derive_seed`, so a failing trial can be
 reproduced in isolation.  The instances are the same on every machine; the
 deviations printed from them repeat byte for byte on the same machine, numpy
-and BLAS build.
+and BLAS build, whatever the BLAS thread count: the library's norms are
+pairwise sums, and the ``np.linalg.norm`` calls here take vectors far
+shorter than the length at which OpenBLAS splits a dot product across
+threads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import augment, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
+from .distance import _stacked, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
 from .errors import RankDeficient
 from .linalg import det_lu, solve_hermitian_psd
 from .qr import _logdet_at_rank, _rank_of_r, gram_logdet, householder_qr
@@ -100,7 +103,7 @@ def _check_distance_product(rng: SplitMix64, t: int, tol: float):
     else:
         lhs = 0.0 if ld_a.is_zero else value * math.exp(ld_a.log_mag / 2.0)
         rhs = 0.0 if ld_ab.is_zero else math.exp(ld_ab.log_mag / 2.0)
-        scale = max(float(np.linalg.norm(augment(a, b))) ** (n + 1), TINY)
+        scale = max(float(np.linalg.norm(_stacked(a, b))) ** (n + 1), TINY)
         dev = abs(lhs - rhs) / scale
     return dev <= tol, dev
 

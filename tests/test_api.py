@@ -27,7 +27,6 @@ PUBLIC = [
     "SplitMix64",
     "SuiteResult",
     "ZeroVariance",
-    "augment",
     "centered_rank",
     "derive_seed",
     "design_rank",

@@ -44,6 +44,27 @@ def run(capsys, argv):
     return code, out
 
 
+def complex_cell(z):
+    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+
+def write_complex(tmp_path, a, b):
+    """A complex matrix and vector as the two CSV files ``dist`` reads."""
+    rows = "".join(",".join(map(complex_cell, row)) + "\n" for row in a.tolist())
+    ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(a.shape[1])) + "\n" + rows)
+    vb = write(tmp_path, "b.csv", "v\n" + "".join(complex_cell(z) + "\n" for z in b.tolist()))
+    return ma, vb
+
+
+@pytest.fixture
+def overflow_files(tmp_path):
+    """A complex 40x6 (A, b) at 1e160, where A* A overflows."""
+    rng = np.random.default_rng(89)
+    a = 1e160 * (rng.uniform(-1, 1, (40, 6)) + 1j * rng.uniform(-1, 1, (40, 6)))
+    b = 1e160 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
+    return write_complex(tmp_path, a, b)
+
+
 def line_value(out, key):
     for line in out.splitlines():
         if line.startswith(key + ":"):
@@ -115,23 +136,13 @@ class TestDist:
             assert float(line_value(out, key)) <= 1e-12
 
 
-    def test_overflowing_gram_keeps_the_factor_routes(self, capsys, tmp_path):
+    def test_overflowing_gram_keeps_the_factor_routes(self, capsys, overflow_files):
         # at 1e160 A* A overflows: the projection route is undefined, the
         # determinant and qr routes answer, and the exit code is theirs
-        rng = np.random.default_rng(89)
-        a = 1e160 * (rng.uniform(-1, 1, (40, 6)) + 1j * rng.uniform(-1, 1, (40, 6)))
-        b = 1e160 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
-
-        def cell(z):
-            return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
-
-        rows = "".join(",".join(cell(complex(z)) for z in row) + "\n" for row in a)
-        ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(6)) + "\n" + rows)
-        vb = write(tmp_path, "b.csv", "v\n" + "".join(cell(complex(z)) + "\n" for z in b))
+        ma, vb = overflow_files
         argv = ["dist", "--matrix", ma, "--vector", vb]
-        with np.errstate(all="ignore"):
-            code, out = run(capsys, argv)
-            json_code, json_out = run(capsys, argv + ["--format", "json"])
+        code, out = run(capsys, argv)
+        json_code, json_out = run(capsys, argv + ["--format", "json"])
         assert code == json_code == 0
         assert line_value(out, "distance_projection") == "undefined"
         det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
@@ -139,6 +150,16 @@ class TestDist:
         results = json.loads(json_out)["results"]
         assert results["distance_projection"] is None
         assert results["distance_det"] == det and results["distance_qr"] == qr
+
+    def test_handled_overflow_prints_no_warnings(self, capsys, overflow_files):
+        # the process prints what main prints, and no RuntimeWarning from
+        # the overflows the routes handle
+        ma, vb = overflow_files
+        argv = ["dist", "--matrix", ma, "--vector", vb]
+        code, out = run(capsys, argv)
+        res = python("-m", "gramdist", *argv)
+        assert code == 0
+        assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
 
     def test_overflowing_rhs_keeps_the_factor_routes(self, capsys, tmp_path):
         # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
@@ -148,8 +169,7 @@ class TestDist:
         rows = "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
         ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(6)) + "\n" + rows)
         vb = write(tmp_path, "b.csv", "v\n" + "".join(f"{v!r}\n" for v in b.tolist()))
-        with np.errstate(all="ignore"):
-            code, out = run(capsys, ["dist", "--matrix", ma, "--vector", vb])
+        code, out = run(capsys, ["dist", "--matrix", ma, "--vector", vb])
         assert code == 0
         assert line_value(out, "distance_projection") == "undefined"
         det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
@@ -174,6 +194,14 @@ class TestGramCheck:
         assert code == 0
         assert float(line_value(out, "deviation minor_sum_vs_gram_det")) <= 1e-9
         assert float(line_value(out, "orthogonality_residual")) <= 1e-10
+
+    def test_overflowing_minor_sum_is_named(self, capsys, tmp_path):
+        # the 2x2 minors of a 3x2 at 1e80 fit a double; their squares do not
+        m = write(tmp_path, "m.csv", "c1,c2\n1e80,2e80\n3e80,-1e80\n0.5e80,4e80\n")
+        code = main(["gram-check", "--matrix", m])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "gramdist: error: the sum of squared minors does not fit a double\n"
 
     def test_square_input_rejected(self, capsys, tmp_path):
         m = write(tmp_path, "m.csv", "a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
@@ -263,12 +291,23 @@ class TestRegress:
         rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
         d = write(tmp_path, "big.csv", "x,y\n" + rows)
         for flags in ([], ["--no-solve"], ["--coefficients"]):
-            with np.errstate(all="ignore"):
-                code = main(["regress", "--data", d, "--target", "y"] + flags)
+            code = main(["regress", "--data", d, "--target", "y"] + flags)
             captured = capsys.readouterr()
             assert code == 1
             assert captured.out == ""
             assert captured.err.startswith("gramdist: error:")
+
+    def test_overflow_names_what_overflowed(self, capsys, tmp_path):
+        # max|y - mean| is 1.36e308, at or above 2^1023: the scale of the
+        # report's norms still fits a double, and the error names the
+        # number that does not
+        d = write(tmp_path, "huge.csv", "x,y\n1,1.7e308\n2,0\n3,1\n4,0\n5,2\n")
+        for flags, what in (([], "A* b"), (["--no-solve"], "a result of the regression")):
+            code = main(["regress", "--data", d, "--target", "y"] + flags)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"gramdist: error: {what} does not fit a double\n"
 
     def test_coefficients_need_the_solve(self, capsys, regress_file):
         with pytest.raises(SystemExit) as err:
@@ -361,11 +400,12 @@ SRC = Path(gramdist.__file__).resolve().parents[1]
 VERIFY_STACK = ["gramdist.rng", "gramdist.verify"]
 
 
-def python(*args):
-    """Run a fresh interpreter that imports gramdist from this source tree;
-    COLUMNS pins argparse's help width to the one the in-process runs get."""
+def python(*args, **env_vars):
+    """Run a fresh interpreter that imports gramdist from this source tree,
+    with env_vars added to its environment; COLUMNS pins argparse's help
+    width to the one the in-process runs get."""
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p), **env_vars)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
@@ -468,3 +508,30 @@ class TestProcessEntry:
             runpy.run_module("gramdist", run_name="__main__")
         assert exit_.value.code == 7
         assert calls == ["freeze", "main"]
+
+
+class TestBlasThreads:
+    """A command prints the same bytes whatever the BLAS thread count.
+    OpenBLAS splits a dot product of a vector longer than 10 000 entries
+    across its threads, and rounds it differently with each count; on
+    these inputs a norm or cosine taken that way changes its last digit."""
+
+    ROWS = 20000
+
+    def test_output_does_not_depend_on_the_thread_count(self, tmp_path):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((self.ROWS, 3))
+        y = x @ rng.standard_normal(3) + rng.standard_normal(self.ROWS)
+        data = write(tmp_path, "d.csv", "x1,x2,x3,y\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in np.column_stack([x, y]).tolist()))
+        a = rng.standard_normal((self.ROWS, 4)) + 1j * rng.standard_normal((self.ROWS, 4))
+        b = rng.standard_normal(self.ROWS) + 1j * rng.standard_normal(self.ROWS)
+        ma, vb = write_complex(tmp_path, a, b)
+        regress = ["regress", "--data", data, "--target", "y", "--format", "json"]
+        for argv in (regress, regress + ["--coefficients"],
+                     ["dist", "--matrix", ma, "--vector", vb, "--format", "json"],
+                     ["verify", "--trials", "20"]):
+            runs = [python("-m", "gramdist", *argv, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+                    for n in ("1", "2")]
+            assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2, argv[0]
+            assert runs[0].stdout == runs[1].stdout, argv

@@ -15,7 +15,6 @@ from gramdist import (
     DimensionMismatch,
     RankDeficient,
     ShapeError,
-    augment,
     distance_det,
     distance_projection,
     distance_qr,
@@ -58,27 +57,8 @@ def random_cvec(rng, m):
     return rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
 
 
-class TestAugment:
-    def test_basis_vectors(self):
-        out = augment([[1.0], [0.0]], [0.0, 1.0])
-        np.testing.assert_array_equal(out, np.eye(2))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, 4, 2)
-        b = random_cvec(rng, 4)
-        out = augment(a, b)
-        np.testing.assert_array_equal(out[:, :2], a)
-        np.testing.assert_array_equal(out[:, 2], b)
-        assert out.shape[1] == a.shape[1] + 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            augment(np.eye(2), np.ones(3))
-
-
 class TestOperandsAreOnlyRead:
-    """augment, gram_logdets and distance_projection validate without a copy:
+    """gram_logdets and distance_projection validate without a copy:
     they neither mutate their operands nor keep them."""
 
     @pytest.mark.parametrize("complex_input", [False, True])
@@ -87,24 +67,20 @@ class TestOperandsAreOnlyRead:
         a = random_complex(rng, 7, 3) if complex_input else rng.uniform(-1, 1, (7, 3))
         b = random_cvec(rng, 7) if complex_input else rng.uniform(-1, 1, 7)
         a0, b0 = a.copy(), b.copy()
-        aug = augment(a, b)
         lds = gram_logdets(a, b)
         proj = distance_projection(a, b)
         np.testing.assert_array_equal(a, a0)
         np.testing.assert_array_equal(b, b0)
         assert a.flags.writeable and b.flags.writeable
-        assert not aug.flags.writeable
-        assert not np.shares_memory(aug, a) and not np.shares_memory(aug, b)
         a[:] = 0.0
         b[:] = 1.0
-        np.testing.assert_array_equal(aug, np.column_stack([a0, b0]))
         assert gram_logdets(a0, b0) == lds
         assert distance_projection(a0, b0) == proj
         assert gram_logdets(a, b)[0].is_zero
 
     def test_validation_is_kept(self):
         good_a, good_b = np.eye(3)[:, :2], np.ones(3)
-        for fn in (augment, gram_logdets, distance_projection):
+        for fn in (gram_logdets, distance_projection):
             with pytest.raises(ValueError, match="finite"):
                 fn(np.array([[1.0, np.nan], [0.0, 1.0], [0.0, 0.0]]), good_b)
             with pytest.raises(ValueError, match="finite"):
@@ -115,9 +91,6 @@ class TestOperandsAreOnlyRead:
                     fn(bad_a, bad_b)
             with pytest.raises(DimensionMismatch):
                 fn(good_a, np.ones(4))
-        out = augment([[1, 2], [3, 4], [5, 6]], [1, 0, 0])
-        assert out.dtype == np.float64
-        assert augment(np.ones((3, 2), np.int64), [1j, 0, 0]).dtype == np.complex128
 
 
 class TestDistanceDet:
@@ -271,7 +244,7 @@ class TestDistanceProperties:
                 assert trial % 5 == 4
                 lhs = 0.0 if la.is_zero else value * math.exp(la.log_mag / 2)
                 rhs = 0.0 if lab.is_zero else math.exp(lab.log_mag / 2)
-                scale = float(np.linalg.norm(augment(a, b))) ** (n + 1)
+                scale = float(np.linalg.norm(np.column_stack([a, b]))) ** (n + 1)
                 assert abs(lhs - rhs) <= 1e-9 * scale
         # every full-rank trial compares nonzero determinants
         assert in_log_form == 40
@@ -409,7 +382,7 @@ class TestGramLogdets:
             a, b = self.draw(rng, *shape, complex_input)
             ld_a, ld_ab = gram_logdets(a, b)
             assert abs(ld_a.log_mag - self.direct_logdet(a)) <= 1e-12
-            assert abs(ld_ab.log_mag - self.direct_logdet(augment(a, b))) <= 1e-12
+            assert abs(ld_ab.log_mag - self.direct_logdet(np.column_stack([a, b]))) <= 1e-12
 
     @pytest.mark.parametrize("complex_input", [False, True])
     def test_square_augmented_matrix(self, complex_input):
@@ -418,7 +391,7 @@ class TestGramLogdets:
         for n in (1, 3, 6):
             a, b = self.draw(rng, n + 1, n, complex_input)
             ld_a, ld_ab = gram_logdets(a, b)
-            assert abs(ld_ab.log_mag - 2.0 * np.linalg.slogdet(augment(a, b))[1]) <= 1e-12
+            assert abs(ld_ab.log_mag - 2.0 * np.linalg.slogdet(np.column_stack([a, b]))[1]) <= 1e-12
             assert abs(ld_a.log_mag - self.direct_logdet(a)) <= 1e-12
             qr = distance_qr(a, b).value
             assert abs(distance_det(a, b).value - qr) <= 1e-12 * qr
@@ -650,7 +623,7 @@ class TestOrthogonalMinorVector:
         a = np.zeros((4, 3))
         a[0, 0] = a[1, 1] = a[2, 2] = 1.0e120
         a[3, :] = 1.0
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^the determinant does not fit a double$"):
             orthogonal_minor_vector(a)
 
 
@@ -687,7 +660,7 @@ class TestMinorSum:
         # minors of 1e160 square to 1e320: the sum cannot fit a double, and
         # that must surface as OverflowError rather than inf
         a = np.array([[1.0e160, 0.0], [0.0, 1.0e160], [0.0, 0.0]])
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^the sum of squared minors does not fit a double$"):
             minor_sum(a)
 
     def test_wrong_shape(self):
