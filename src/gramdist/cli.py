@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from .csvio import parse_csv
-from .distance import _det_ratio, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
+from .distance import _det_ratio, _minor_identity, distance_projection, distance_qr, gram_logdets
 from .errors import GramDistError, RankDeficient, ShapeError, ZeroVariance
 from .qr import gram_logdet, householder_qr
 from .regression import Dataset, regression_report
@@ -192,10 +192,8 @@ def _cmd_dist(args) -> int:
 
 def _cmd_gram_check(args) -> int:
     a = parse_csv(args.matrix, "complex").matrix()
-    s = minor_sum(a)
-    ld = gram_logdet(householder_qr(a), a.shape[0])
-    g = ld.magnitude()
-    bvec = orthogonal_minor_vector(a)
+    s, bvec = _minor_identity(a)
+    g = gram_logdet(householder_qr(a), a.shape[0]).magnitude()
     residual = float(np.linalg.norm(np.conj(a).T @ bvec))
     results = {
         "minor_sum": s,
@@ -264,30 +262,11 @@ def _cmd_verify(args) -> int:
     suites = run_all(seed=args.seed, trials=args.trials)
     all_pass = all(s.passed for s in suites)
     code = EXIT_OK if all_pass else EXIT_VERIFY
-    results = {
-        "suites": {
-            s.name: {
-                "trials": s.trials,
-                "failures": s.failures,
-                "max_dev": s.max_dev,
-                "tolerance": s.tolerance,
-                "passed": s.passed,
-            }
-            for s in suites
-        },
-        "passed": all_pass,
-    }
-    deviations = {s.name: s.max_dev for s in suites}
-    payload = _payload(
-        "verify",
-        {"seed": args.seed, "trials": args.trials},
-        results,
-        deviations,
-        code,
-    )
     if args.format == "json":
-        _emit(payload, "json")
+        _emit(_verify_payload(args.seed, args.trials, suites, code), "json")
         return code
+    # the text output keeps one summary line per suite; the per-trial
+    # record shows only in JSON
     print(f"verify seed={args.seed} trials={args.trials}")
     for s in suites:
         status = "pass" if s.passed else "FAIL"
@@ -299,6 +278,41 @@ def _cmd_verify(args) -> int:
     print(f"result: {'PASS' if all_pass else 'FAIL'} suites={len(suites)} failed={failed}")
     print(f"exit: {code} ({_MEANING[code]})")
     return code
+
+
+def _verify_payload(seed: int, trials: int, suites, code: int) -> dict:
+    """The JSON record of a verify run.  Each suite also carries a digest of
+    its per-trial record (sha256 over each trial's ok byte and its
+    little-endian deviation bytes, so -0.0 and NaN show), the trial at
+    which its running maximum deviation last rose, and its first failing
+    trial with the generator seed that regenerates it."""
+    import hashlib
+    import struct
+
+    from .rng import derive_seed
+
+    def record(index, s):
+        devs = [dev for _, dev in s.outcomes]
+        fails = [t for t, (ok, _) in enumerate(s.outcomes) if not ok]
+        digest = hashlib.sha256(b"".join(struct.pack("<?d", ok, dev) for ok, dev in s.outcomes))
+        return {
+            "trials": s.trials,
+            "failures": s.failures,
+            "max_dev": s.max_dev,
+            "tolerance": s.tolerance,
+            "passed": s.passed,
+            "digest": digest.hexdigest()[:16],
+            "argmax_trial": devs.index(s.max_dev) if s.max_dev > 0.0 else None,
+            "first_failure": {"trial": fails[0], "derive_seed": derive_seed(seed, index, fails[0])}
+            if fails else None,
+        }
+
+    results = {
+        "suites": {s.name: record(index, s) for index, s in enumerate(suites)},
+        "passed": code == EXIT_OK,
+    }
+    deviations = {s.name: s.max_dev for s in suites}
+    return _payload("verify", {"seed": seed, "trials": trials}, results, deviations, code)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -168,19 +168,21 @@ def distance_projection(a, b) -> DistanceResult:
     return DistanceResult(_column_norms(vec - mat @ x), "projection")
 
 
-def _normal_solution(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _normal_solution(mat: np.ndarray, vec: np.ndarray,
+                     operands: tuple[str, str] = ("Gram matrix of A", "A* b")) -> np.ndarray:
     """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
 
     A* A is formed by :func:`~gramdist.linalg._gram`, one symmetric rank-k
     update, and A* b as conj(b* A), so A itself is never conjugated or
     copied.  A failed factorization is reported as :class:`RankDeficient`,
-    and an entry of A* A or A* b that overflows as :class:`OverflowError`.
+    and an entry of A* A or A* b that overflows as :class:`OverflowError`,
+    whose message names the operand by its entry in operands, in the
+    caller's terms.
     """
     gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
-    if not np.isfinite(gram).all():
-        raise OverflowError("Gram matrix of A does not fit a double")
-    if not np.isfinite(rhs).all():
-        raise OverflowError("A* b does not fit a double")
+    for value, name in zip((gram, rhs), operands):
+        if not np.isfinite(value).all():
+            raise OverflowError(f"{name} does not fit a double")
     try:
         return solve_hermitian_psd(gram, rhs)
     except NotPositiveDefinite as exc:
@@ -254,14 +256,7 @@ def orthogonal_minor_vector(a) -> np.ndarray:
     constant sign would not.  Raises OverflowError when a minor's magnitude
     exceeds the double range.
     """
-    mat, minors = _minor_logdets(a)
-    n = mat.shape[1]
-    signs = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(n + 1)])
-    vals = np.array([ld.value() for ld in minors], np.complex128)
-    out = signs * np.conj(vals)
-    if not np.iscomplexobj(mat):
-        out = out.real
-    return _frozen(out)
+    return _minor_vector(*_minor_logdets(a))
 
 
 def minor_sum(a) -> float:
@@ -272,7 +267,29 @@ def minor_sum(a) -> float:
     not poison the intermediate terms.  Only the final result must fit a
     double; one that does not raises OverflowError.
     """
-    logs = [2.0 * ld.log_mag for ld in _minor_logdets(a)[1] if not ld.is_zero]
+    return _minor_sum(_minor_logdets(a)[1])
+
+
+def _minor_identity(a) -> tuple[float, np.ndarray]:
+    """:func:`minor_sum` and :func:`orthogonal_minor_vector` of a, from one
+    set of row-deleted minors.  The sum is formed first, so an overflow
+    raises the error that minor_sum alone would."""
+    mat, minors = _minor_logdets(a)
+    return _minor_sum(minors), _minor_vector(mat, minors)
+
+
+def _minor_vector(mat: np.ndarray, minors: list[LogDet]) -> np.ndarray:
+    n = mat.shape[1]
+    signs = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(n + 1)])
+    vals = np.array([ld.value() for ld in minors], np.complex128)
+    out = signs * np.conj(vals)
+    if not np.iscomplexobj(mat):
+        out = out.real
+    return _frozen(out)
+
+
+def _minor_sum(minors: list[LogDet]) -> float:
+    logs = [2.0 * ld.log_mag for ld in minors if not ld.is_zero]
     if not logs:
         return 0.0
     shift = max(logs)

@@ -168,9 +168,13 @@ def det_lu(m) -> LogDet:
 def solve_hermitian_psd(h, rhs) -> np.ndarray:
     """Solve H x = rhs for hermitian positive definite H by Cholesky.
 
-    The pivot tolerance is dim * eps * max(diag(H)); a pivot diag(L)**2 at
-    or below it, or a factorization that fails outright, raises
-    :class:`NotPositiveDefinite`.  Real inputs give a real solution.
+    Pivot j, |l_jj|^2, is the part of h_jj that the earlier columns leave
+    (a Schur complement), so the pivot tolerance is dim * eps * h_jj, its
+    own diagonal: the test is the same for H and for D H D with D a
+    positive diagonal, so a widely scaled but well conditioned H passes.
+    A pivot at or below its tolerance, or a factorization that fails
+    outright, raises :class:`NotPositiveDefinite`.  Real inputs give a
+    real solution.
     """
     hm = _array(h, 2)
     b = _array(rhs, 1)
@@ -181,16 +185,17 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}"
         )
-    tau = n * EPS * float(hm.diagonal().real.max())
     try:
         low = np.linalg.cholesky(hm)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.abs(low.diagonal()) ** 2
-    j = int(pivots.argmin())
-    if pivots[j] <= tau:
+    taus = n * EPS * hm.diagonal().real
+    refused = np.flatnonzero(pivots <= taus)
+    if refused.size:
+        j = int(refused[0])
         raise NotPositiveDefinite(
-            f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {tau!r}"
+            f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {float(taus[j])!r}"
         )
     y = _solve_triangular(low, b, lower=True)
     return _frozen(_solve_triangular(low.conj().T, y, lower=False))

@@ -209,7 +209,7 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     coefs = None
     flags: tuple[str, ...] = ()
     if solve:
-        a1 = _normal_solution(xc, yc)
+        a1 = _normal_solution(xc, yc, ("Xc* Xc", "Xc* yc"))
         coefs = _frozen(np.concatenate([[y_mean - float(a1 @ x_mean)], a1]))
         ps, p_scale = _scaled(xc @ coefs[1:])
         npn = _column_norms(ps)

@@ -2,12 +2,13 @@
 
 Every suite regenerates its trial instances from (seed, suite index, trial
 index) through :func:`gramdist.rng.derive_seed`, so a failing trial can be
-reproduced in isolation.  The instances are the same on every machine; the
-deviations printed from them repeat byte for byte on the same machine, numpy
-and BLAS build, whatever the BLAS thread count: the library's norms are
-pairwise sums, and the ``np.linalg.norm`` calls here take vectors far
-shorter than the length at which OpenBLAS splits a dot product across
-threads.
+reproduced in isolation.  A :class:`SuiteResult` keeps every trial's
+(ok, deviation), and its summary numbers are read off that record.  The
+instances are the same on every machine; the deviations printed from them
+repeat byte for byte on the same machine, numpy and BLAS build, whatever
+the BLAS thread count: the library's norms are pairwise sums, and the
+``np.linalg.norm`` calls here take vectors far shorter than the length at
+which OpenBLAS splits a dot product across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _stacked, distance_det, distance_projection, distance_qr, gram_logdets, minor_sum, orthogonal_minor_vector
+from .distance import _minor_identity, _stacked, distance_det, distance_projection, distance_qr, gram_logdets
 from .errors import RankDeficient
 from .linalg import det_lu, solve_hermitian_psd
 from .qr import _logdet_at_rank, _rank_of_r, gram_logdet, householder_qr
@@ -30,11 +31,26 @@ TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One run of a suite: outcomes[t] is trial t's (ok, deviation), and
+    every summary is read off that record."""
+
     name: str
-    trials: int
-    failures: int
-    max_dev: float
     tolerance: float
+    outcomes: tuple[tuple[bool, float], ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def failures(self) -> int:
+        return sum(not ok for ok, _ in self.outcomes)
+
+    @property
+    def max_dev(self) -> float:
+        """The largest deviation, 0.0 for none: max keeps the first largest
+        and, starting at 0.0, never takes a NaN."""
+        return max([0.0, *(dev for _, dev in self.outcomes)])
 
     @property
     def passed(self) -> bool:
@@ -128,11 +144,10 @@ def _check_minor_sum(rng: SplitMix64, t: int, tol: float):
     orthogonal to the column space and its squared norm is the same sum."""
     n = rng.randint(1, 6)
     a = rng.complex_matrix(n + 1, n)
-    s = minor_sum(a)
+    s, bvec = _minor_identity(a)
     ld = gram_logdet(householder_qr(a), n + 1)
     g = 0.0 if ld.is_zero else math.exp(ld.log_mag)
     dev_sum = abs(s - g) / max(s, g, TINY)
-    bvec = orthogonal_minor_vector(a)
     nb = float(np.linalg.norm(bvec))
     na = float(np.linalg.norm(a))
     if nb == 0.0:
@@ -293,16 +308,8 @@ def run_suite(name: str, seed: int = 42, trials: int = 500) -> SuiteResult:
             break
     else:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    failures = 0
-    max_dev = 0.0
-    for t in range(trials):
-        rng = SplitMix64(derive_seed(seed, index, t))
-        ok, dev = fn(rng, t, tol)
-        if not ok:
-            failures += 1
-        if dev > max_dev:
-            max_dev = dev
-    return SuiteResult(name, trials, failures, max_dev, tol)
+    runs = (fn(SplitMix64(derive_seed(seed, index, t)), t, tol) for t in range(trials))
+    return SuiteResult(name, tol, tuple((bool(ok), float(dev)) for ok, dev in runs))
 
 
 def run_all(seed: int = 42, trials: int = 500) -> list[SuiteResult]:

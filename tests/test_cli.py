@@ -203,6 +203,18 @@ class TestGramCheck:
         assert (code, captured.out) == (1, "")
         assert captured.err == "gramdist: error: the sum of squared minors does not fit a double\n"
 
+    def test_one_set_of_minors(self, capsys, monkeypatch, tmp_path):
+        # the minor sum and the minor vector share one stacked slogdet
+        import gramdist.distance
+
+        calls = []
+        minors = gramdist.distance._minor_logdets
+        monkeypatch.setattr(gramdist.distance, "_minor_logdets", lambda a: calls.append(1) or minors(a))
+        m = write(tmp_path, "m.csv", "c1,c2\n1,2\n3,-1\n0.5,4\n")
+        code, _ = run(capsys, ["gram-check", "--matrix", m])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_square_input_rejected(self, capsys, tmp_path):
         m = write(tmp_path, "m.csv", "a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
         code, _ = run(capsys, ["gram-check", "--matrix", m])
@@ -300,14 +312,32 @@ class TestRegress:
     def test_overflow_names_what_overflowed(self, capsys, tmp_path):
         # max|y - mean| is 1.36e308, at or above 2^1023: the scale of the
         # report's norms still fits a double, and the error names the
-        # number that does not
+        # number that does not, in the regression's own terms
         d = write(tmp_path, "huge.csv", "x,y\n1,1.7e308\n2,0\n3,1\n4,0\n5,2\n")
-        for flags, what in (([], "A* b"), (["--no-solve"], "a result of the regression")):
+        for flags, what in (([], "Xc* yc"), (["--no-solve"], "a result of the regression")):
             code = main(["regress", "--data", d, "--target", "y"] + flags)
             captured = capsys.readouterr()
             assert code == 1
             assert captured.out == ""
             assert captured.err == f"gramdist: error: {what} does not fit a double\n"
+
+    def test_widely_scaled_regressors_solve(self, capsys, tmp_path):
+        # one column scaled by 1e8 leaves the centered normal equations well
+        # conditioned up to that scaling: every Cholesky pivot stays far
+        # above eps times its own diagonal, so the solve answers
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 3))
+        y = x @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(50)
+        x[:, 2] *= 1e8
+        rows = "".join(",".join(map(repr, r)) + "\n" for r in np.column_stack([x, y]).tolist())
+        d = write(tmp_path, "scaled.csv", "x1,x2,x3,y\n" + rows)
+        code, out = run(capsys, ["regress", "--data", d, "--target", "y", "--coefficients", "--format", "json"])
+        assert code == 0
+        coefs = np.array(json.loads(out)["results"]["coefficients"])
+        a = np.column_stack([np.ones(50), x])
+        norms = np.linalg.norm(a, axis=0)
+        ref = np.linalg.lstsq(a / norms, y, rcond=None)[0] / norms
+        assert np.max(np.abs(coefs - ref) / np.abs(ref)) <= 1e-12
 
     def test_coefficients_need_the_solve(self, capsys, regress_file):
         with pytest.raises(SystemExit) as err:
@@ -372,6 +402,35 @@ class TestVerify:
         assert set(doc) == SCHEMA_KEYS
         assert doc["results"]["passed"] is True
         assert len(doc["results"]["suites"]) == len(doc["deviations"])
+
+    def test_json_record_per_suite(self, capsys, monkeypatch):
+        # each suite's digest hashes its per-trial record, argmax_trial is
+        # where the maximum deviation first occurs, and first_failure names
+        # a trial and the generator seed that replays it alone
+        import hashlib
+
+        import gramdist.verify
+        from gramdist.rng import SplitMix64
+
+        suites = tuple((name, fn, 1e-30 if name == "distance_agreement" else tol)
+                       for name, fn, tol in gramdist.verify.SUITES)
+        monkeypatch.setattr(gramdist.verify, "SUITES", suites)
+        code, out = run(capsys, ["verify", "--seed", "3", "--trials", "6", "--format", "json"])
+        assert code == 4
+        records = json.loads(out)["results"]["suites"]
+        for (name, fn, tol), s in zip(suites, gramdist.verify.run_all(seed=3, trials=6)):
+            rec = records[name]
+            data = b"".join(bytes([ok]) + np.array(dev, "<f8").tobytes() for ok, dev in s.outcomes)
+            assert rec["digest"] == hashlib.sha256(data).hexdigest()[:16]
+            devs = [dev for _, dev in s.outcomes]
+            assert rec["argmax_trial"] == (devs.index(max(devs)) if max(devs) > 0.0 else None)
+            if name != "distance_agreement":
+                assert rec["first_failure"] is None
+                continue
+            t = rec["first_failure"]["trial"]
+            assert [ok for ok, _ in s.outcomes].index(False) == t
+            replay = fn(SplitMix64(rec["first_failure"]["derive_seed"]), t, tol)
+            assert replay == s.outcomes[t]
 
 
 class TestUsageErrors:

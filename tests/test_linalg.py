@@ -301,10 +301,16 @@ class TestSolveHermitianPsd:
             solve_hermitian_psd(a.T @ a, [1.0, 1.0])
 
     def test_pivot_at_tolerance_rejected(self):
-        # the factorization succeeds, but the second pivot 1e-20 is below
-        # dim * eps * max(diag)
-        with pytest.raises(NotPositiveDefinite):
-            solve_hermitian_psd([[1.0, 0.0], [0.0, 1e-20]], [1.0, 1.0])
+        # two nearly dependent columns: the factorization succeeds, but the
+        # second pivot, eps * h_11, is below dim * eps * h_11, also with
+        # the second column scaled by 1e10; two orthogonal columns on
+        # scales 1e20 apart are no dependence and solve exactly
+        c = 1.0 - 2.0 ** -53
+        for d in (1.0, 1e10):
+            with pytest.raises(NotPositiveDefinite, match="at column 1 "):
+                solve_hermitian_psd([[1.0, c * d], [c * d, d * d]], [1.0, 1.0])
+        x = solve_hermitian_psd([[1.0, 0.0], [0.0, 1e-20]], [1.0, 1.0])
+        assert x.tolist() == [1.0, 1e20]
 
     def test_not_square_and_mismatch(self):
         with pytest.raises(NotSquare):

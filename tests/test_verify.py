@@ -1,31 +1,62 @@
 """The property-suite runner itself: determinism, per-trial stream
 independence, and the registry's tolerances."""
 
+import json
+
 import numpy as np
 import pytest
 
-import gramdist.verify
+import gramdist.distance
+import gramdist.linalg
+import gramdist.qr
+import gramdist.regression
+from gramdist.cli import main
 from gramdist.rng import SplitMix64
-from gramdist.verify import SUITE_NAMES, SUITES, run_all, run_suite
+from gramdist.verify import SUITE_NAMES, run_all, run_suite
 
 
-def ledger(monkeypatch, seed=1, trials=20):
+def trial_bytes(seed=1, trials=20):
     """Every trial of run_all(seed, trials) as (suite, t, ok, deviation
-    bytes): a last-bit change in any one trial shows, where run_all's
-    per-suite maxima would hide it."""
-    rows = []
+    bytes), read off the runs' own records: a last-bit change in any one
+    trial shows, where the per-suite maxima would hide it."""
+    return [(s.name, t, ok, np.float64(dev).tobytes())
+            for s in run_all(seed=seed, trials=trials) for t, (ok, dev) in enumerate(s.outcomes)]
 
-    def recorded(name, fn):
-        def check(rng, t, tol):
-            ok, dev = fn(rng, t, tol)
-            rows.append((name, t, ok, np.float64(dev).tobytes()))
-            return ok, dev
-        return check
 
-    monkeypatch.setattr(gramdist.verify, "SUITES",
-                        tuple((name, recorded(name, fn), tol) for name, fn, tol in SUITES))
-    run_all(seed=seed, trials=trials)
-    return rows
+def digests_and_maxima(capsys, seed=1, trials=20):
+    """{suite: (digest, max_dev)} from ``verify --format json``."""
+    main(["verify", "--seed", str(seed), "--trials", str(trials), "--format", "json"])
+    suites = json.loads(capsys.readouterr().out)["results"]["suites"]
+    return {name: (rec["digest"], rec["max_dev"]) for name, rec in suites.items()}
+
+
+def scalar_draws(monkeypatch):
+    """The array draws taken one scalar at a time, as the stream defines them."""
+    monkeypatch.setattr(SplitMix64, "real_vector", lambda g, n: np.array([g.uniform() for _ in range(n)], np.float64))
+    monkeypatch.setattr(SplitMix64, "complex_vector", lambda g, n: np.array([g.complex_disc() for _ in range(n)], np.complex128))
+
+
+def svd_ranks(monkeypatch):
+    """Every rank counted by the SVD alone, with no certificate."""
+    monkeypatch.setattr(gramdist.qr, "_certifies_full_rank", lambda a, tol: False)
+
+
+def replace_norm_helper(monkeypatch, fn):
+    """fn in place of linalg._column_norms in every module that imports it;
+    returns how many names it replaced."""
+    helper = gramdist.linalg._column_norms
+    patched = 0
+    for mod in (gramdist.linalg, gramdist.qr, gramdist.regression, gramdist.distance):
+        for name, value in list(vars(mod).items()):
+            if value is helper:
+                monkeypatch.setattr(mod, name, fn)
+                patched += 1
+    return patched
+
+
+def direct_norms(monkeypatch):
+    """Every norm taken by np.linalg.norm itself."""
+    assert replace_norm_helper(monkeypatch, lambda x: np.linalg.norm(x, axis=0)) == 4
 
 
 class TestRunner:
@@ -36,6 +67,8 @@ class TestRunner:
     def test_deterministic_results(self):
         a = run_suite("distance_product_identity", seed=5, trials=12)
         b = run_suite("distance_product_identity", seed=5, trials=12)
+        # equality compares every trial's (ok, deviation)
+        assert a.trials == 12
         assert a == b
 
     def test_trial_streams_are_prefix_stable(self):
@@ -43,8 +76,7 @@ class TestRunner:
         # with a shorter one on the shared prefix
         short = run_suite("minor_sum_identity", seed=9, trials=6)
         long = run_suite("minor_sum_identity", seed=9, trials=12)
-        assert short.failures <= long.failures
-        assert short.max_dev <= long.max_dev
+        assert long.outcomes[:6] == short.outcomes
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -94,37 +126,45 @@ class TestRunner:
             assert calls.count("solve_hermitian_psd") == solves, suite
 
     def test_batched_draws_leave_the_suites_unchanged(self, monkeypatch):
-        # the same suites with the array draws taken one scalar at a time,
-        # as the stream defines them, must give the same results
-        batched = ledger(monkeypatch)
-        monkeypatch.setattr(SplitMix64, "real_vector", lambda g, n: np.array([g.uniform() for _ in range(n)], np.float64))
-        monkeypatch.setattr(SplitMix64, "complex_vector", lambda g, n: np.array([g.complex_disc() for _ in range(n)], np.complex128))
-        assert ledger(monkeypatch) == batched
+        # the same suites with the array draws taken one scalar at a time
+        # must give the same trials
+        batched = trial_bytes()
+        scalar_draws(monkeypatch)
+        assert trial_bytes() == batched
 
     def test_rank_certificate_leaves_the_suites_unchanged(self, monkeypatch):
         # the same suites with every rank counted by the SVD alone must give
-        # the same results
-        import gramdist.qr as qr
-
-        certified = ledger(monkeypatch)
-        monkeypatch.setattr(qr, "_certifies_full_rank", lambda a, tol: False)
-        assert ledger(monkeypatch) == certified
+        # the same trials
+        certified = trial_bytes()
+        svd_ranks(monkeypatch)
+        assert trial_bytes() == certified
 
     def test_norm_helpers_leave_the_suites_unchanged(self, monkeypatch):
         # the same suites with every norm taken by np.linalg.norm itself must
-        # give the same results
-        import gramdist.distance
-        import gramdist.linalg
-        import gramdist.qr
-        import gramdist.regression
+        # give the same trials
+        helper = trial_bytes()
+        direct_norms(monkeypatch)
+        assert trial_bytes() == helper
 
-        direct = ledger(monkeypatch)
-        helper = gramdist.linalg._column_norms
-        patched = 0
-        for mod in (gramdist.linalg, gramdist.qr, gramdist.regression, gramdist.distance):
-            for name, value in list(vars(mod).items()):
-                if value is helper:
-                    monkeypatch.setattr(mod, name, lambda x: np.linalg.norm(x, axis=0))
-                    patched += 1
-        assert patched == 4
-        assert ledger(monkeypatch) == direct
+    def test_invariance_patches_leave_every_digest_equal(self, capsys, monkeypatch):
+        before = digests_and_maxima(capsys)
+        for patch in (scalar_draws, svd_ranks, direct_norms):
+            patch(monkeypatch)
+        assert digests_and_maxima(capsys) == before
+
+    def test_digest_shows_what_the_maxima_hide(self, capsys, monkeypatch):
+        # the squares summed in reverse order round differently in the last
+        # bit: some trial's deviation moves, while no suite's maximum does
+        before = digests_and_maxima(capsys)
+        replace_norm_helper(monkeypatch, lambda x: np.sqrt(np.add.reduce((x.conj() * x).real[::-1], axis=0)))
+        after = digests_and_maxima(capsys)
+        assert [m for _, m in after.values()] == [m for _, m in before.values()]
+        assert any(after[name][0] != before[name][0] for name in before)
+
+    def test_one_set_of_minors_per_trial(self, monkeypatch):
+        # the minor sum and the minor vector share one stacked slogdet
+        calls = []
+        minors = gramdist.distance._minor_logdets
+        monkeypatch.setattr(gramdist.distance, "_minor_logdets", lambda a: calls.append(1) or minors(a))
+        run_suite("minor_sum_identity", trials=7)
+        assert len(calls) == 7
