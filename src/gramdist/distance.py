@@ -43,7 +43,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
 from .linalg import LogDet, _array, _column_norms, _frozen, _gram, solve_hermitian_psd
 from .qr import (
+    _TRIANGULAR_FIRST,
     _certifies_full_rank,
+    _certifies_triangular,
     _logdet_at_rank,
     _rank_of_r,
     _rank_tolerance,
@@ -206,10 +208,12 @@ def distance_qr(a, b) -> DistanceResult:
     where R11 = U S V* and k counts the singular values above
     max(m, n) * eps * (largest column norm of R11), the rank tolerance of A.
     By unitarity this is the squared distance to the column span, wherever
-    the dependent columns sit.  Requires m >= n + 1 rows.
+    the dependent columns sit.  Requires m >= n + 1 rows.  Full rank is
+    first tried by the certificates of :func:`~gramdist.qr._rank_of_r`, in
+    its order, and the SVD runs only where they fail.
 
     (A|b) is built once and factored in place; no name keeps it past the
-    factorization, so the rank certificate's arrays do not stack on it.
+    factorization, so the rank certificates' arrays do not stack on it.
     """
     mat, vec = _operands(a, b)
     m, n = mat.shape
@@ -217,7 +221,8 @@ def distance_qr(a, b) -> DistanceResult:
     value = float(abs(r[n, n]))
     r11 = r[:n, :n]
     tol = _rank_tolerance(r11, m)
-    if not _certifies_full_rank(r11, tol):
+    if not ((n > _TRIANGULAR_FIRST and _certifies_triangular(r11, tol))
+            or _certifies_full_rank(r11, tol)):
         # one SVD decides k and gives U; at k == n, U[:, k:] is empty and
         # the hypot returns value exactly
         u, s, _ = np.linalg.svd(r11)

@@ -10,9 +10,14 @@ it as a private temporary.  geqrf is reached through
 ``numpy.linalg.lapack_lite``, so numpy stays the only runtime dependency.
 
 No rank is decided while factoring: a caller that needs one asks
-:func:`_rank_of_r` for it.  Every count of singular values above a
-tolerance goes through :func:`_count_above`, which first tries a shifted
-Cholesky certificate of full rank and runs an SVD only when that fails.
+:func:`_rank_of_r` for it, with the triangular factor.  A full count is
+settled by the first certificate that proves it, cheapest first: on a
+factor of more than _TRIANGULAR_FIRST columns an O(n^2) back substitution
+on its comparison matrix (:func:`_certifies_triangular`), then an O(n^3)
+shifted Cholesky of its Gram matrix (:func:`_certifies_full_rank`); an SVD
+runs only when both fail.  A count on a general matrix goes through
+:func:`_count_above`, which skips the first: the comparison matrix bounds
+only a triangular matrix.
 Column norms come from ``linalg._column_norms``, the one norm rule of the
 package, and reductions are array methods: the same arithmetic as
 ``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
@@ -27,10 +32,15 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ShapeError
-from .linalg import EPS, LogDet, _array, _column_norms, _frozen
+from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _frozen, _solve_triangular
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
+
+# Factors of more columns than this try the comparison-matrix certificate
+# first.  Up to _BLOCK columns its solve is one np.linalg.solve, whose
+# per-call cost exceeds the whole Cholesky certificate on such a factor.
+_TRIANGULAR_FIRST = _BLOCK
 
 
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
@@ -47,26 +57,94 @@ def _rank_tolerance(r: np.ndarray, rows: int) -> float:
 
 
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
-    """Numerical rank of an m x n matrix A with m = rows, counted on A itself
-    or on its triangular factor R, whichever the caller holds.
+    """Numerical rank of an m x n matrix A with m = rows, counted on its
+    n x n upper triangular factor R, as :func:`householder_qr` returns it.
 
     Counts the singular values above max(m, n) * eps * (largest column norm
-    of A).  R has the column norms and singular values of A, so both give
-    the same count, and it does not depend on the column order.
+    of A).  R has the column norms and singular values of A, so the count
+    is A's, and it does not depend on the column order.  Above
+    _TRIANGULAR_FIRST columns :func:`_certifies_triangular` is tried before
+    :func:`_count_above`; it bounds only a triangular matrix, so r must be
+    that factor, zero below its diagonal.  A count on A itself is
+    ``_count_above(a, _rank_tolerance(a, m))``.
     """
-    return _count_above(r, _rank_tolerance(r, rows))
+    tol = _rank_tolerance(r, rows)
+    if r.shape[1] > _TRIANGULAR_FIRST and _certifies_triangular(r, tol):
+        return r.shape[1]
+    return _count_above(r, tol)
 
 
 def _count_above(a: np.ndarray, tol: float) -> int:
     """Number of singular values of an m x n matrix a above tol.
 
-    A full count is settled without an SVD when
-    :func:`_certifies_full_rank` proves sigma_min >= 2 * tol; otherwise the
-    singular values are computed and counted.
+    a may be any matrix, triangular or not.  A full count is settled
+    without an SVD when :func:`_certifies_full_rank` proves
+    sigma_min >= 2 * tol; otherwise the singular values are computed and
+    counted.
     """
     if _certifies_full_rank(a, tol):
         return a.shape[1]
     return int((np.linalg.svd(a, compute_uv=False) > tol).sum())
+
+
+def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
+    """True only if sigma_min(r) >= 2 * tol, for a square upper triangular
+    r, zero below its diagonal as a factor of :func:`householder_qr` is.
+    A diagonal entry that is zero, or whose modulus overflows, is never
+    certified.
+
+    The proof is a bound through the comparison matrix M = M(r), which has
+    |r_ii| on its diagonal and -|r_ij| above it.  M is an M-matrix, so
+    M^-1 >= 0, and |r^-1| <= M^-1 entrywise (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 8.3).  The 2-norm
+    is monotone on nonnegative matrices and ||B||_2 <= sqrt(n) ||B||_inf,
+    so with x = M^-1 e, e the vector of ones, whose largest entry is
+    ||M^-1||_inf,
+
+        sigma_min(r) = 1 / ||r^-1||_2 >= 1 / ||M^-1||_2
+                     >= 1 / (sqrt(n) max(x)).
+
+    Then 2 tol sqrt(n) max(x) <= 1 proves sigma_min(r) >= 2 tol; the test
+    asks 4 tol sqrt(n) max(x^) <= 1 of the computed x^, a factor 2 to spare
+    for rounding.  With u = eps/2 and gamma_k = k u / (1 - k u):
+
+    * the comparison matrix: |r_ij| of a complex entry carries a relative
+      error of at most 2u, or overflows.  An infinite |r_ij| above the
+      diagonal makes its row of x^ an inf or a nan, and one on the
+      diagonal is refused, as it would give x^_i = 0.  Otherwise
+      M^-1 = sum_(k<n) (D^-1 U)^k D^-1 for M = D - U, so the exact inverse
+      of the computed M is at least M^-1 / (1 + 2u)^(2n) entrywise;
+    * the substitution: M x = e is solved by ``linalg._solve_triangular``,
+      whose diagonal blocks reach LAPACK's LU with partial pivoting.  On a
+      triangular M that LU is exact (no row is swapped, every multiplier is
+      0), so each x_i is the sum 1 + sum_(j>i) |r_ij| x_j, divided by
+      |r_ii|, in some order.  Every term is nonnegative, so nothing
+      cancels: a sum of k nonnegative terms carries a relative error of at
+      most gamma_k, and the product, the division (or the product by a
+      computed reciprocal) a few u more.  By induction from x_n up,
+      x^ >= x (1 - gamma_(n+4))^n;
+    * underflow: the numerator of x_i is at least 1, so underflowed
+      products shift it by at most n eta, eta the smallest subnormal, and
+      x_i >= 1 / |r_ii| >= 2^-1024 is rounded to within 2^-50 relative.
+
+    Together x^ >= x / 2 whenever n (n + 8) u < 1/2, that is for every n
+    below 6 * 10^7, far beyond any matrix that fits in memory.  Nothing is
+    claimed when the LU meets a zero pivot, nor when x^ holds an inf or a
+    nan: the solve runs with overflow and invalid operations ignored, and
+    a nan or inf maximum fails the test.
+    """
+    n = r.shape[1]
+    cmp = np.negative(np.abs(r), order="C")
+    diag = cmp.reshape(-1)[:: n + 1]
+    diag *= -1.0
+    if diag.max() == math.inf:
+        return False
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _solve_triangular(cmp, np.ones(n), lower=False)
+    except np.linalg.LinAlgError:  # a zero on the diagonal
+        return False
+    return 4.0 * tol * math.sqrt(n) * float(x.max()) <= 1.0
 
 
 def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:

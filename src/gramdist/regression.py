@@ -100,16 +100,31 @@ def _design(d: Dataset) -> np.ndarray:
     return np.column_stack([np.ones(d.m), d.x])
 
 
-def _equilibrated_rank(a: np.ndarray, norms: np.ndarray, m: int) -> int:
+# A column whose largest entry lies within [1/_SQUARES_FIT, _SQUARES_FIT]
+# has normal squares, and no sum of them overflows.
+_SQUARES_FIT = 2.0**480
+
+
+def _equilibrated_rank(a: np.ndarray, x: np.ndarray, m: int) -> int:
     """Number of singular values above m * eps of the m-row matrix a with
-    column j divided by norms[j] (a zero norm divides by 1).
+    column j divided by ||x_j||, the norm of column j of x (a zero norm
+    divides by 1).
 
     This is the one rank rule of the regression layer.  Dividing each
     column by a norm puts every column on one scale, and column scaling is
     within sqrt(n) of the best diagonal scaling (van der Sluis 1969), so
-    the scale of one column against the others does not change the count,
-    as long as the squares behind its norm stay in the double range.
+    the scale of one column against the others does not change the count.
+    Where a nonzero column of x lies outside [1/_SQUARES_FIT, _SQUARES_FIT],
+    column j of x and of a is first divided by the power of two at or just
+    below max|x_j|, as :func:`_scaled` takes it.  That division is exact,
+    so each quotient is a_j / ||x_j|| bit for bit where the squares behind
+    ||x_j|| fit a double, and it is still formed where they do not.
     """
+    top = np.abs(x).max(axis=0)
+    if any(t > _SQUARES_FIT or 0.0 < t < 1.0 / _SQUARES_FIT for t in top.tolist()):
+        s = np.ldexp(1.0, np.frexp(top)[1] - 1)
+        x, a = x / s, a / s
+    norms = _column_norms(x)
     return _count_above(a / np.where(norms > 0.0, norms, 1.0), m * EPS)
 
 
@@ -123,7 +138,7 @@ def design_rank(d: Dataset) -> int:
     column and Xc is not.
     """
     a = _design(d)
-    return _equilibrated_rank(a, _column_norms(a), d.m)
+    return _equilibrated_rank(a, a, d.m)
 
 
 def centered_rank(d: Dataset) -> int:
@@ -142,7 +157,7 @@ def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
     eps * ||x_j|| in column j of Xc: three samples of 0.1 center to a
     nonzero 1e-17.
     """
-    return _equilibrated_rank(r, _column_norms(d.x), d.m)
+    return _equilibrated_rank(r, d.x, d.m)
 
 
 def loss_value_residual(d: Dataset, a) -> float:

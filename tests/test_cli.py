@@ -321,6 +321,21 @@ class TestRegress:
             assert captured.out == ""
             assert captured.err == f"gramdist: error: {what} does not fit a double\n"
 
+    def test_regressor_whose_squares_overflow_keeps_its_rank(self, capsys, tmp_path):
+        # one nonconstant column near 1e160: its norm is taken on the column
+        # scaled by a power of two, so the rank rule counts it; without a
+        # solve the determinant route answers (lstsq gives 1.5), and the
+        # solve names the Gram matrix that does not fit a double
+        d = write(tmp_path, "big.csv", "x,y\n1e160,1\n-1e160,0\n3e160,1\n4,0\n5e159,2\n")
+        code, out = run(capsys, ["regress", "--data", d, "--target", "y", "--no-solve"])
+        assert code == 0
+        assert "loss_value: 1.5000000000000002\n" in out
+        code = main(["regress", "--data", d, "--target", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "gramdist: error: Xc* Xc does not fit a double\n"
+
     def test_widely_scaled_regressors_solve(self, capsys, tmp_path):
         # one column scaled by 1e8 leaves the centered normal equations well
         # conditioned up to that scaling: every Cholesky pivot stays far

@@ -217,7 +217,8 @@ class TestDistanceQr:
         a = random_complex(rng, 12, 5)
         b = random_cvec(rng, 12)
         certified = distance_qr(a, b).value
-        monkeypatch.setattr(dist, "_certifies_full_rank", lambda r, tol: False)
+        for name in ("_certifies_triangular", "_certifies_full_rank"):
+            monkeypatch.setattr(dist, name, lambda r, tol: False)
         assert distance_qr(a, b).value == certified
 
 class TestDistanceProperties:
@@ -437,12 +438,14 @@ class TestCertificateReuse:
 
     @staticmethod
     def count_certificates(monkeypatch):
+        """The shape of each matrix that either certificate is asked about."""
         import gramdist.qr
 
         calls = []
-        certify = gramdist.qr._certifies_full_rank
-        monkeypatch.setattr(gramdist.qr, "_certifies_full_rank",
-                            lambda a, tol: calls.append(a.shape) or certify(a, tol))
+        for name in ("_certifies_triangular", "_certifies_full_rank"):
+            certify = getattr(gramdist.qr, name)
+            monkeypatch.setattr(gramdist.qr, name,
+                                lambda a, tol, certify=certify: calls.append(a.shape) or certify(a, tol))
         return calls
 
     def test_full_rank_runs_one_certificate(self, monkeypatch):
@@ -483,6 +486,20 @@ class TestCertificateReuse:
             assert gram_logdets(a, b) == expected, t
             outcomes.add(expected[0].is_zero)
         assert outcomes == {False, True}
+
+    def test_wide_full_rank_needs_no_cholesky_and_no_svd(self, monkeypatch):
+        # the triangular certificate settles every full-rank decision of a
+        # well-conditioned 1000x200 problem on its own
+        rng = np.random.default_rng(79)
+        a, b = random_complex(rng, 1000, 200), random_cvec(rng, 1000)
+        expected = (distance_qr(a, b), distance_det(a, b), gram_logdet(householder_qr(a), 1000))
+
+        def refuse(*args, **kw):
+            raise AssertionError("not expected to run")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert (distance_qr(a, b), distance_det(a, b), gram_logdet(householder_qr(a), 1000)) == expected
 
 
 class TestLayout:

@@ -1,7 +1,7 @@
 """Householder QR: the triangular factor against the Gram matrix and a
-Gram-Schmidt oracle, the rank read off that factor, the shifted-Cholesky
-certificate of full rank against the SVD count, and the Gram
-log-determinant read off the diagonal.
+Gram-Schmidt oracle, the rank read off that factor, the comparison-matrix
+and shifted-Cholesky certificates of full rank against the SVD count, and
+the Gram log-determinant read off the diagonal.
 
 The independent oracle is classical Gram-Schmidt: it builds an orthonormal
 basis of the column space, the associated projector and the residual norm
@@ -29,7 +29,13 @@ from gramdist import (
     regression_report,
 )
 from gramdist.linalg import EPS
-from gramdist.qr import _certifies_full_rank, _count_above, _rank_of_r, _rank_tolerance
+from gramdist.qr import (
+    _certifies_full_rank,
+    _certifies_triangular,
+    _count_above,
+    _rank_of_r,
+    _rank_tolerance,
+)
 
 
 def gram_schmidt(a, tol=1e-12):
@@ -455,6 +461,79 @@ class TestRankCertificate:
         elif n > 1 and dependent == "scaled":
             a[:, -1] = -2.5 * a[:, 0]
         self.check(a * 2.0**scale_exp)
+
+
+def kahan(rng, n, complex_input):
+    """The n x n Kahan matrix diag(s^i) (I - c N), N the strictly upper
+    ones, s = sin(theta) and c = cos(theta): its smallest singular value is
+    far below its smallest diagonal entry.  Complex entries get random
+    phases, which leave the comparison matrix as it is."""
+    theta = rng.uniform(0.05, 1.4)
+    r = np.diag(math.sin(theta) ** np.arange(n)) @ (np.eye(n) - math.cos(theta) * np.triu(np.ones((n, n)), 1))
+    if complex_input:
+        r = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (n, n)))
+    return r
+
+
+class TestTriangularCertificate:
+    """The comparison-matrix certificate holds only where the SVD of the
+    triangular factor counts n singular values above the tolerance."""
+
+    @given(
+        n=st.integers(1, 40),
+        extra_rows=st.integers(0, 30),
+        complex_input=st.booleans(),
+        kind=st.sampled_from(["sigma_min", "kahan", "graded", "zero_diagonal"]),
+        factor=st.sampled_from([0.5, 1.0, 2.0, 4.0, None]),
+        tol_scale=st.sampled_from([1.0, 1e6, 1e12]),
+        scale_exp=st.sampled_from([-500, 0, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_sided_property(self, n, extra_rows, complex_input, kind, factor,
+                                tol_scale, scale_exp, seed):
+        rng = np.random.default_rng(seed)
+        m = n + extra_rows
+        if kind == "sigma_min":
+            r = householder_qr(with_sigma_min(rng, m, n, factor, complex_input))
+        elif kind == "kahan":
+            r = kahan(rng, n, complex_input)
+        elif kind == "graded":
+            # columns falling by up to 2^-60 each: the diagonal spans the
+            # double range
+            g = random_complex(rng, m, n) if complex_input else rng.standard_normal((m, n))
+            r = householder_qr(g) * 2.0 ** -(rng.integers(0, 61) * np.arange(n))
+        else:
+            r = householder_qr(random_complex(rng, m, n)).copy()
+            r[(i := int(rng.integers(0, n))), i] = 0.0
+        r = r * 2.0**scale_exp
+        tol = tol_scale * _rank_tolerance(r, m)
+        certified = _certifies_triangular(r, tol)
+        assert not certified or svd_count(r, tol) == n
+        if kind == "zero_diagonal":
+            assert not certified
+
+    def test_well_conditioned_factors_are_certified(self):
+        # the factors of the distance routes on a wide problem, and small
+        # ones at the extremes of the double range
+        rng = np.random.default_rng(109)
+        for m, n in ((1000, 201), (1000, 200), (12, 12), (40, 8)):
+            r = householder_qr(random_complex(rng, m, n))
+            for scale in (1.0, 2.0**500, 2.0**-500):
+                assert _certifies_triangular(r * scale, _rank_tolerance(r * scale, m))
+
+    def test_overflow_claims_nothing(self):
+        # x = M^-1 e overflows to inf, and with a zero tolerance the test
+        # meets 0 * inf; neither certifies nor warns
+        for n in (5, 40):
+            r = np.triu(np.ones((n, n)))
+            np.fill_diagonal(r, 1e-200)
+            r[0, 1] = 0.0
+            for tol in (1e-300, 0.0):
+                assert not _certifies_triangular(r, tol)
+                assert not _certifies_triangular(r + 0j, tol)
+        # a diagonal entry whose modulus overflows would read as x_i = 0
+        r = np.array([[1.5e308 + 1.5e308j, 1.0], [0.0, 1.0]])
+        assert not _certifies_triangular(r, 0.1)
 
 
 class TestGramLogDet:

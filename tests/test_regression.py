@@ -27,7 +27,7 @@ from gramdist import (
 )
 from gramdist.cli import main
 from gramdist.linalg import EPS
-from gramdist.qr import _rank_of_r
+from gramdist.qr import _count_above, _rank_of_r, _rank_tolerance
 from gramdist.regression import _centered_rank_of_r
 
 SQRT_02 = math.sqrt(0.2)
@@ -304,6 +304,23 @@ class TestRankRelation:
         for d in datasets:
             assert design_rank(d) == centered_rank(d) + 1
 
+    def test_columns_scaled_beyond_the_range_of_their_squares(self):
+        # a column at 2^600 squares past the double range and one at 2^-600
+        # below it; each norm is taken on the column scaled by a power of
+        # two, so both counts are those of the unscaled data
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1, 1, (20, 3))
+        dup = x.copy()
+        dup[:, 2] = dup[:, 0]
+        for base, rank in ((x, 3), (dup, 2)):
+            for k in (600, -600):
+                for cols in ([0], [0, 1, 2]):
+                    scaled = base.copy()
+                    scaled[:, cols] *= 2.0**k
+                    d = Dataset(scaled, rng.uniform(-1, 1, 20))
+                    assert centered_rank(d) == rank
+                    assert design_rank(d) == rank + 1
+
     def test_counting_on_the_matrix_matches_its_factor(self):
         # a rank counted on A is the rank counted on its factor R; the
         # centered rule on Xc matches its factor, zero-padded when Xc is wide
@@ -324,7 +341,8 @@ class TestRankRelation:
             elif case == 4:
                 a[:, n - 1] = 0.1
             for scale in (1.0, 1e8):
-                assert _rank_of_r(scale * a, m) == _rank_of_r(householder_qr(scale * a), m)
+                count = _count_above(scale * a, _rank_tolerance(scale * a, m))
+                assert count == _rank_of_r(householder_qr(scale * a), m)
         datasets = [*centering_residue_datasets(), offset_dataset()]
         for m, n in ((2, 3), (3, 5), (6, 6), (7, 4), (40, 8)):
             x = rng.uniform(-1, 1, (m, n))

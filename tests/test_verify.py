@@ -38,7 +38,9 @@ def scalar_draws(monkeypatch):
 
 def svd_ranks(monkeypatch):
     """Every rank counted by the SVD alone, with no certificate."""
-    monkeypatch.setattr(gramdist.qr, "_certifies_full_rank", lambda a, tol: False)
+    for mod in (gramdist.qr, gramdist.distance):
+        for name in ("_certifies_triangular", "_certifies_full_rank"):
+            monkeypatch.setattr(mod, name, lambda a, tol: False)
 
 
 def replace_norm_helper(monkeypatch, fn):
