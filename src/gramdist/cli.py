@@ -64,13 +64,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal for a float; strings pass through."""
+    """A boolean in JSON spelling, anything else as str: for a float that is
+    its shortest round-trip decimal.  Every payload value is a built-in
+    type."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return str(x)
 
 
@@ -89,13 +87,8 @@ def _json_safe(x):
         return {k: _json_safe(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_json_safe(v) for v in x]
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (float, np.floating)):
-        v = float(x)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
     return x
 
 
@@ -260,23 +253,18 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise GramDistError("seed must fit in 64 unsigned bits")
     suites = run_all(seed=args.seed, trials=args.trials)
-    all_pass = all(s.passed for s in suites)
-    code = EXIT_OK if all_pass else EXIT_VERIFY
+    failed = sum(not s.passed for s in suites)
+    code = EXIT_VERIFY if failed else EXIT_OK
     if args.format == "json":
-        _emit(_verify_payload(args.seed, args.trials, suites, code), "json")
-        return code
-    # the text output keeps one summary line per suite; the per-trial
-    # record shows only in JSON
-    print(f"verify seed={args.seed} trials={args.trials}")
-    for s in suites:
-        status = "pass" if s.passed else "FAIL"
-        print(
-            f"{s.name}: {status} trials={s.trials} failures={s.failures} "
-            f"max_dev={_fmt(s.max_dev)} tol={_fmt(s.tolerance)}"
-        )
-    failed = sum(1 for s in suites if not s.passed)
-    print(f"result: {'PASS' if all_pass else 'FAIL'} suites={len(suites)} failed={failed}")
-    print(f"exit: {code} ({_MEANING[code]})")
+        payload = _verify_payload(args.seed, args.trials, suites, code)
+    else:
+        # the text output keeps one summary line per suite; the per-trial
+        # record shows only in JSON
+        results = {s.name: f"{'pass' if s.passed else 'FAIL'} trials={s.trials} failures={s.failures} "
+                           f"max_dev={s.max_dev} tol={s.tolerance}" for s in suites}
+        results["result"] = f"{'FAIL' if failed else 'PASS'} suites={len(suites)} failed={failed}"
+        payload = _payload("verify", {"seed": args.seed, "trials": args.trials}, results, {}, code)
+    _emit(payload, args.format)
     return code
 
 

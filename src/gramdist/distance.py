@@ -19,12 +19,11 @@ reductions, so its factor is a backward-stable R factor of A (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 19).  When (b|A) has
 full rank, so has its column subset A, and A's rank is not decided again.
 
-Each tall QR operand is built once, column-major, the order LAPACK
-factors in, as a private temporary that
-:func:`~gramdist.qr.householder_qr` factors in place
-(``overwrite_a=True``): one copy of A per route, and the caller's arrays
-are only read.  The projection route forms A* A by one symmetric rank-k
-update (:func:`~gramdist.linalg._gram`).
+Each tall QR operand is built once by ``qr._stacked``, a private
+temporary that :func:`~gramdist.qr.householder_qr` factors in place: one
+copy of A per route, and the caller's arrays are only read.  Every rank
+is decided in ``qr``, and the projection route solves the normal
+equations of ``linalg._normal_solution``.
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -40,18 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _column_norms, _frozen, _gram, solve_hermitian_psd
-from .qr import (
-    _TRIANGULAR_FIRST,
-    _certifies_full_rank,
-    _certifies_triangular,
-    _logdet_at_rank,
-    _rank_of_r,
-    _rank_tolerance,
-    gram_logdet,
-    householder_qr,
-)
+from .errors import DimensionMismatch, RankDeficient, ShapeError
+from .linalg import LogDet, _array, _column_norms, _frozen, _logdet, _normal_solution
+from .qr import _certified, _logdet_at_rank, _rank_of_r, _rank_tolerance, _stacked, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -84,16 +74,6 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
             f"vector length {vec.shape[0]} does not match row count {mat.shape[0]}"
         )
     return mat, vec
-
-
-def _stacked(*blocks: np.ndarray) -> np.ndarray:
-    """The matrices and vectors in blocks side by side, as the columns of
-    one new, writeable column-major matrix: the order LAPACK factors in,
-    so householder_qr can factor it in place (``overwrite_a=True``)."""
-    cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
-    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
-                   np.result_type(*cols), order="F")
-    return np.concatenate(cols, axis=1, out=out)
 
 
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
@@ -170,27 +150,6 @@ def distance_projection(a, b) -> DistanceResult:
     return DistanceResult(_column_norms(vec - mat @ x), "projection")
 
 
-def _normal_solution(mat: np.ndarray, vec: np.ndarray,
-                     operands: tuple[str, str] = ("Gram matrix of A", "A* b")) -> np.ndarray:
-    """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
-
-    A* A is formed by :func:`~gramdist.linalg._gram`, one symmetric rank-k
-    update, and A* b as conj(b* A), so A itself is never conjugated or
-    copied.  A failed factorization is reported as :class:`RankDeficient`,
-    and an entry of A* A or A* b that overflows as :class:`OverflowError`,
-    whose message names the operand by its entry in operands, in the
-    caller's terms.
-    """
-    gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
-    for value, name in zip((gram, rhs), operands):
-        if not np.isfinite(value).all():
-            raise OverflowError(f"{name} does not fit a double")
-    try:
-        return solve_hermitian_psd(gram, rhs)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(str(exc)) from exc
-
-
 def distance_qr(a, b) -> DistanceResult:
     """Distance from the triangularized (A|b), no rank requirement.
 
@@ -209,8 +168,8 @@ def distance_qr(a, b) -> DistanceResult:
     max(m, n) * eps * (largest column norm of R11), the rank tolerance of A.
     By unitarity this is the squared distance to the column span, wherever
     the dependent columns sit.  Requires m >= n + 1 rows.  Full rank is
-    first tried by the certificates of :func:`~gramdist.qr._rank_of_r`, in
-    its order, and the SVD runs only where they fail.
+    first tried by ``qr._certified``, the certificates of
+    :func:`~gramdist.qr._rank_of_r`, and the SVD runs only where it fails.
 
     (A|b) is built once and factored in place; no name keeps it past the
     factorization, so the rank certificates' arrays do not stack on it.
@@ -221,8 +180,7 @@ def distance_qr(a, b) -> DistanceResult:
     value = float(abs(r[n, n]))
     r11 = r[:n, :n]
     tol = _rank_tolerance(r11, m)
-    if not ((n > _TRIANGULAR_FIRST and _certifies_triangular(r11, tol))
-            or _certifies_full_rank(r11, tol)):
+    if not _certified(r11, tol):
         # one SVD decides k and gives U; at k == n, U[:, k:] is empty and
         # the hypot returns value exactly
         u, s, _ = np.linalg.svd(r11)
@@ -243,11 +201,7 @@ def _minor_logdets(a) -> tuple[np.ndarray, list[LogDet]]:
     rows = np.arange(m)
     # row i of kept lists every row index but i
     kept = np.broadcast_to(rows, (m, m))[rows[:, None] != rows].reshape(m, n)
-    signs, log_mags = np.linalg.slogdet(mat[kept])
-    return mat, [
-        LogDet.zero() if sign == 0 else LogDet(complex(sign), float(log_mag))
-        for sign, log_mag in zip(signs, log_mags)
-    ]
+    return mat, [_logdet(*pair) for pair in zip(*np.linalg.slogdet(mat[kept]))]
 
 
 def orthogonal_minor_vector(a) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Dense matrix arithmetic: validated arrays, determinants kept in log
-form, and hermitian positive-definite solves, both on LAPACK.
+form, and hermitian positive-definite solves with the normal equations
+built on them, all on LAPACK, plus the one exact power-of-two scaling.
 
 Operands are validated without a copy: every routine here and in the
 modules built on it only reads its input, and each factorization works on
 an array of its own: LAPACK's copy inside numpy, the one column-major
-copy that ``qr.householder_qr`` makes, or a stacked operand that the
-distance and regression layers build for it to factor in place
-(``overwrite_a=True``).  Only ``regression.Dataset`` copies to keep an
-array.  Outputs come back with the writeable flag cleared, so
+copy that ``qr.householder_qr`` makes, or an operand that ``qr._stacked``
+builds for it to factor in place.  Only ``regression.Dataset`` copies to
+keep an array.  Outputs come back with the writeable flag cleared, so
 every operation behaves as a pure function over values.
 
 A float64 or complex128 ndarray is validated by one finiteness pass and
@@ -16,10 +16,14 @@ numpy's pairwise sum of the squares, the expression that
 ``np.linalg.norm(x, axis=0)`` evaluates, without its argument handling,
 which costs more than the arithmetic at the sizes ``verify`` runs.  No
 norm is a BLAS dot product: OpenBLAS splits a long one across its threads,
-and a printed number would then depend on the BLAS thread count.
+and a printed number would then depend on the BLAS thread count.  Where
+squares would leave the double range, every rescaling goes through
+:func:`_scaled`, an exact division by powers of two.
 
-The two triangles of a Cholesky solve are solved by block substitution,
-O(n^2) for an n x n system, where an LU of each would be O(n^3).
+:func:`_normal_solution` solves the normal equations of the projection
+route and of the regression.  The two triangles of its Cholesky solve are
+solved by block substitution, O(n^2) for an n x n system, where an LU of
+each would be O(n^3).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSquare, ShapeError
+from .errors import DimensionMismatch, NotPositiveDefinite, NotSquare, RankDeficient, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -70,6 +74,18 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     expression that ``np.linalg.norm(x, axis=0)`` evaluates, bit for bit,
     without its argument handling."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v / s, s) for s the power of two at or just below max|v| (1/2 for a
+    zero v), taken column by column for a 2-d v, so that s fits a double
+    for every finite v.
+
+    The division is exact, so norms and inner products of v / s are those
+    of v scaled bit for bit, and their squares stay in the double range.
+    """
+    s = np.ldexp(1.0, np.frexp(np.abs(v).max(axis=0, initial=0.0))[1] - 1)
+    return v / s, s
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,12 @@ def det_lu(m) -> LogDet:
     a = _array(m, 2)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"determinant needs a square matrix, got {a.shape}")
-    sign, log_mag = np.linalg.slogdet(a)
+    return _logdet(*np.linalg.slogdet(a))
+
+
+def _logdet(sign, log_mag) -> LogDet:
+    """One determinant of ``np.linalg.slogdet`` as a LogDet; an exactly
+    singular one (sign 0) is the exact zero."""
     if sign == 0:
         return LogDet.zero()
     return LogDet(complex(sign), float(log_mag))
@@ -199,6 +220,26 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
         )
     y = _solve_triangular(low, b, lower=True)
     return _frozen(_solve_triangular(low.conj().T, y, lower=False))
+
+
+def _normal_solution(mat: np.ndarray, vec: np.ndarray,
+                     operands: tuple[str, str] = ("Gram matrix of A", "A* b")) -> np.ndarray:
+    """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
+
+    A* A is formed by :func:`_gram`, one symmetric rank-k update, and A* b
+    as conj(b* A), so A itself is never conjugated or copied.  A failed
+    factorization is reported as :class:`RankDeficient`, and an entry of
+    A* A or A* b that overflows as :class:`OverflowError`, whose message
+    names the operand by its entry in operands, in the caller's terms.
+    """
+    gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
+    for value, name in zip((gram, rhs), operands):
+        if not np.isfinite(value).all():
+            raise OverflowError(f"{name} does not fit a double")
+    try:
+        return solve_hermitian_psd(gram, rhs)
+    except NotPositiveDefinite as exc:
+        raise RankDeficient(str(exc)) from exc
 
 
 # The largest diagonal block solved whole: systems up to this size go to

@@ -1,27 +1,28 @@
-"""Householder QR through LAPACK, keeping only the triangular factor.
+"""Householder QR through LAPACK, keeping only the triangular factor, and
+the ranks decided on it.
 
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
 matrices.  Q is never formed: callers that need a unitary matrix take it
 from ``np.linalg.qr`` directly.  LAPACK's geqrf factors a column-major
 array in place: by default a copy of the operand, or, with
-``overwrite_a=True``, the operand itself, for a caller that has just built
-it as a private temporary.  geqrf is reached through
-``numpy.linalg.lapack_lite``, so numpy stays the only runtime dependency.
+``overwrite_a=True``, the operand itself, which :func:`_stacked` builds
+for it.  geqrf is reached through ``numpy.linalg.lapack_lite``, so numpy
+stays the only runtime dependency.
 
-No rank is decided while factoring: a caller that needs one asks
-:func:`_rank_of_r` for it, with the triangular factor.  A full count is
-settled by the first certificate that proves it, cheapest first: on a
-factor of more than _TRIANGULAR_FIRST columns an O(n^2) back substitution
-on its comparison matrix (:func:`_certifies_triangular`), then an O(n^3)
-shifted Cholesky of its Gram matrix (:func:`_certifies_full_rank`); an SVD
-runs only when both fail.  A count on a general matrix goes through
-:func:`_count_above`, which skips the first: the comparison matrix bounds
-only a triangular matrix.
-Column norms come from ``linalg._column_norms``, the one norm rule of the
+No rank is decided while factoring: a caller asks :func:`_rank_of_r`, or
+:func:`_certified` for the full count, with the triangular factor.  A
+full count is settled by the first certificate that proves it, cheapest
+first: on a factor of more than _TRIANGULAR_FIRST columns an O(n^2) back
+substitution on its comparison matrix (:func:`_certifies_triangular`),
+then an O(n^3) shifted Cholesky of its Gram matrix
+(:func:`_certifies_full_rank`); an SVD runs only when both fail.  A count
+on a general matrix goes through :func:`_count_above`, which skips the
+first: the comparison matrix bounds only a triangular matrix.  Column
+norms come from ``linalg._column_norms``, the one norm rule of the
 package, and reductions are array methods: the same arithmetic as
-``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
-cost, which dominates on small matrices.
+``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call
+Python cost, which dominates on small matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ShapeError
-from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _frozen, _solve_triangular
+from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _frozen, _scaled, _solve_triangular
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
@@ -46,13 +47,14 @@ _TRIANGULAR_FIRST = _BLOCK
 def _rank_tolerance(r: np.ndarray, rows: int) -> float:
     """max(m, n) * eps * (largest column norm) of A, from A or its factor R.
 
-    A column norm whose square overflows is recomputed on r / max|r| and
-    scaled back, so the tolerance overflows only where that norm does.
+    A column norm whose square overflows is recomputed on the column
+    divided by ``linalg._scaled``'s power of two, exactly, and scaled back,
+    so the tolerance overflows only where that norm does.
     """
     top = float(_column_norms(r).max())
     if top == math.inf:
-        big = float(np.abs(r).max())
-        top = big * float(_column_norms(r / big).max())
+        rs, s = _scaled(r)
+        top = float((s * _column_norms(rs)).max())
     return max(rows, r.shape[1]) * EPS * top
 
 
@@ -62,16 +64,24 @@ def _rank_of_r(r: np.ndarray, rows: int) -> int:
 
     Counts the singular values above max(m, n) * eps * (largest column norm
     of A).  R has the column norms and singular values of A, so the count
-    is A's, and it does not depend on the column order.  Above
-    _TRIANGULAR_FIRST columns :func:`_certifies_triangular` is tried before
-    :func:`_count_above`; it bounds only a triangular matrix, so r must be
-    that factor, zero below its diagonal.  A count on A itself is
-    ``_count_above(a, _rank_tolerance(a, m))``.
+    is A's, and it does not depend on the column order.  Full rank is tried
+    by :func:`_certified`, which bounds only a triangular matrix, so r must
+    be that factor, zero below its diagonal; the SVD counts only where it
+    fails.  A count on A itself is ``_count_above(a, _rank_tolerance(a, m))``.
     """
     tol = _rank_tolerance(r, rows)
-    if r.shape[1] > _TRIANGULAR_FIRST and _certifies_triangular(r, tol):
+    if _certified(r, tol):
         return r.shape[1]
-    return _count_above(r, tol)
+    return int((np.linalg.svd(r, compute_uv=False) > tol).sum())
+
+
+def _certified(r: np.ndarray, tol: float) -> bool:
+    """True only if sigma_min(r) >= 2 * tol for a square triangular factor
+    r, by the certificates in their one order, cheapest first: above
+    _TRIANGULAR_FIRST columns :func:`_certifies_triangular`, then
+    :func:`_certifies_full_rank`."""
+    return ((r.shape[1] > _TRIANGULAR_FIRST and _certifies_triangular(r, tol))
+            or _certifies_full_rank(r, tol))
 
 
 def _count_above(a: np.ndarray, tol: float) -> int:
@@ -200,6 +210,16 @@ def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
     # the factorization does not flag a nan pivot, and a sum of the entries
     # is finite only if every entry is
     return bool(np.isfinite(low.sum()))
+
+
+def _stacked(*blocks: np.ndarray) -> np.ndarray:
+    """The matrices and vectors in blocks side by side, as the columns of
+    one new, writeable column-major matrix: the order LAPACK factors in,
+    so householder_qr can factor it in place (``overwrite_a=True``)."""
+    cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
+    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
+                   np.result_type(*cols), order="F")
+    return np.concatenate(cols, axis=1, out=out)
 
 
 def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:

@@ -6,7 +6,8 @@ loss value) is |r[n, n]|, the square root of the ratio of two centered Gram
 determinants, and the multiple correlation follows from it by Pythagoras.
 The classical route through the normal equations gives the coefficients
 and a second correlation to check against.  :func:`regression_report`
-computes them all, each step once.
+computes them all, each step once, from the factor of ``qr`` and the
+normal equations and power-of-two scaling of ``linalg``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _normal_solution, _stacked
 from .errors import DimensionMismatch, RankDeficient, ZeroVariance
-from .linalg import EPS, _array, _column_norms, _frozen
-from .qr import _count_above, householder_qr
+from .linalg import EPS, _array, _column_norms, _frozen, _normal_solution, _scaled
+from .qr import _count_above, _stacked, householder_qr
 
 
 def _real(a, ndim: int) -> np.ndarray:
@@ -115,15 +115,15 @@ def _equilibrated_rank(a: np.ndarray, x: np.ndarray, m: int) -> int:
     within sqrt(n) of the best diagonal scaling (van der Sluis 1969), so
     the scale of one column against the others does not change the count.
     Where a nonzero column of x lies outside [1/_SQUARES_FIT, _SQUARES_FIT],
-    column j of x and of a is first divided by the power of two at or just
-    below max|x_j|, as :func:`_scaled` takes it.  That division is exact,
-    so each quotient is a_j / ||x_j|| bit for bit where the squares behind
-    ||x_j|| fit a double, and it is still formed where they do not.
+    column j of x and of a is first divided by the power of two that
+    ``linalg._scaled`` takes for x_j.  That division is exact, so each
+    quotient is a_j / ||x_j|| bit for bit where the squares behind ||x_j||
+    fit a double, and it is still formed where they do not.
     """
     top = np.abs(x).max(axis=0)
     if any(t > _SQUARES_FIT or 0.0 < t < 1.0 / _SQUARES_FIT for t in top.tolist()):
-        s = np.ldexp(1.0, np.frexp(top)[1] - 1)
-        x, a = x / s, a / s
+        x, s = _scaled(x)
+        a = a / s
     norms = _column_norms(x)
     return _count_above(a / np.where(norms > 0.0, norms, 1.0), m * EPS)
 
@@ -170,17 +170,6 @@ def loss_value_residual(d: Dataset, a) -> float:
     return float(_column_norms(_design(d) @ av - d.y))
 
 
-def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(v / s, s) for s the power of two at or just below max|v| (1/2 for a
-    zero v), so that s fits a double for every finite v.
-
-    The division is exact, so norms and inner products of v / s are those
-    of v scaled bit for bit, and their squares stay in the double range.
-    """
-    s = math.ldexp(1.0, math.frexp(float(np.abs(v).max(initial=0.0)))[1] - 1)
-    return v / s, s
-
-
 def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     """Every number of the regression of d, each step run once.
 
@@ -202,9 +191,9 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     when the projection vanishes, flags records that the determinant route
     gives 0.  Norms and the cosine's inner product are pairwise sums, not
     BLAS dot products, so no value depends on the BLAS thread count; they
-    are taken on :func:`_scaled` vectors, so only a number that does not
-    fit a double itself, such as the squared loss at a huge y, raises
-    OverflowError.
+    are taken on vectors scaled by ``linalg._scaled``, so only a number
+    that does not fit a double itself, such as the squared loss at a huge
+    y, raises OverflowError.
     """
     n = d.n
     if d.m < n + 1:

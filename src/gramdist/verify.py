@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _minor_identity, _stacked, distance_det, distance_projection, distance_qr, gram_logdets
+from .distance import _minor_identity, distance_det, distance_projection, distance_qr, gram_logdets
 from .errors import RankDeficient
 from .linalg import det_lu, solve_hermitian_psd
-from .qr import _count_above, _logdet_at_rank, _rank_of_r, _rank_tolerance, gram_logdet, householder_qr
+from .qr import _count_above, _logdet_at_rank, _rank_of_r, _rank_tolerance, _stacked, gram_logdet, householder_qr
 from .regression import Dataset, RegressionReport, centered_rank, design_rank, loss_value_residual, regression_report
 from .rng import SplitMix64, derive_seed
 

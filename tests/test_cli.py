@@ -469,6 +469,41 @@ class TestNumberFormatting:
         for key in ("loss_value", "correlation_det", "mean_squared_loss"):
             assert float(line_value(out_text, key)) == doc["results"][key]
 
+    def test_payloads_hold_only_built_in_types(self, capsys, monkeypatch, tmp_path, dist_files, regress_file):
+        # every value reaches _fmt and _json_safe as a built-in type, so
+        # neither needs a numpy scalar case
+        import gramdist.cli as cli
+
+        payloads = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload, fmt: payloads.append(payload) or emit(payload, fmt))
+        gram = write(tmp_path, "g.csv", "a,b\n1+1i,2\n0,1-2i\n3,1\n")
+        deficient = write(tmp_path, "m.csv", "c1,c2\n1,2\n2,4\n3,6\n")
+        argvs = [
+            ["dist", "--matrix", dist_files[0], "--vector", dist_files[1]],
+            ["dist", "--matrix", deficient, "--vector", dist_files[1].replace("b.csv", "b3.csv")],
+            ["gram-check", "--matrix", gram],
+            ["regress", "--data", regress_file, "--target", "y", "--coefficients"],
+            ["verify", "--seed", "3", "--trials", "2"],
+        ]
+        write(tmp_path, "b3.csv", "v\n1\n0\n2\n")
+        for argv in argvs:
+            for fmt in ("text", "json"):
+                run(capsys, [*argv, "--format", fmt])
+        assert len(payloads) == 2 * len(argvs)
+
+        def leaves(x):
+            if isinstance(x, dict):
+                assert all(type(k) is str for k in x)
+                x = list(x.values())
+            if isinstance(x, (list, tuple)):
+                return [leaf for v in x for leaf in leaves(v)]
+            return [x]
+
+        kinds = {type(leaf) for payload in payloads for leaf in leaves(payload)}
+        assert kinds <= {str, int, float, bool, type(None)}
+        assert {int, float, bool, type(None)} <= kinds
+
 
 SRC = Path(gramdist.__file__).resolve().parents[1]
 VERIFY_STACK = ["gramdist.rng", "gramdist.verify"]

@@ -414,7 +414,7 @@ class TestRegressionReport:
 
     def test_each_step_runs_once(self, line_fixture, monkeypatch):
         # one factorization of (Xc|yc), which also decides the rank, one solve
-        import gramdist.distance as dist
+        import gramdist.linalg as lin
         import gramdist.regression as reg
 
         calls = []
@@ -427,7 +427,7 @@ class TestRegressionReport:
 
         for name in ("householder_qr", "design_rank"):
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
-        monkeypatch.setattr(dist, "solve_hermitian_psd", counted("solve_hermitian_psd", dist.solve_hermitian_psd))
+        monkeypatch.setattr(lin, "solve_hermitian_psd", counted("solve_hermitian_psd", lin.solve_hermitian_psd))
         regression_report(line_fixture)
         assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
 

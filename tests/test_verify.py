@@ -38,9 +38,8 @@ def scalar_draws(monkeypatch):
 
 def svd_ranks(monkeypatch):
     """Every rank counted by the SVD alone, with no certificate."""
-    for mod in (gramdist.qr, gramdist.distance):
-        for name in ("_certifies_triangular", "_certifies_full_rank"):
-            monkeypatch.setattr(mod, name, lambda a, tol: False)
+    for name in ("_certifies_triangular", "_certifies_full_rank"):
+        monkeypatch.setattr(gramdist.qr, name, lambda a, tol: False)
 
 
 def replace_norm_helper(monkeypatch, fn):
@@ -105,7 +104,7 @@ class TestRunner:
         # per trial: the report's factor of (Xc|yc) is the one QR, which
         # also accepts the draw, and its Cholesky the one solve; the rank
         # suite counts on (1|X) and Xc themselves and factors nothing
-        import gramdist.distance as dist
+        import gramdist.linalg as lin
         import gramdist.regression as reg
         import gramdist.verify as ver
 
@@ -118,7 +117,7 @@ class TestRunner:
             return wrapper
 
         for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"),
-                          (dist, "solve_hermitian_psd"), (ver, "solve_hermitian_psd")):
+                          (lin, "solve_hermitian_psd"), (ver, "solve_hermitian_psd")):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         k = 6
         for suite, qrs, solves in (("loss_value_equivalence", k, k), ("correlation_equivalence", k, k), ("rank_relation", 0, 0)):
