@@ -22,8 +22,8 @@ full rank, so has its column subset A, and A's rank is not decided again.
 Each tall QR operand is built once by ``qr._stacked``, a private
 temporary that :func:`~gramdist.qr.householder_qr` factors in place: one
 copy of A per route, and the caller's arrays are only read.  Every rank
-is decided in ``qr``, and the projection route solves the normal
-equations of ``linalg._normal_solution``.
+is decided by the one rule of ``qr``, and the projection route solves the
+normal equations of ``linalg._normal_solution``.
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ShapeError
 from .linalg import LogDet, _array, _column_norms, _frozen, _logdet, _normal_solution
-from .qr import _certified, _logdet_at_rank, _rank_of_r, _rank_tolerance, _stacked, gram_logdet, householder_qr
+from .qr import _logdet_at_rank, _outside_rank, _rank_of_r, _stacked, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -84,17 +84,18 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     matrix of the (n+1) x n block R[:, 1:], whose own triangular factor
     gives A's determinant.
 
-    A's rank follows from that of (b|A) when the latter is full: its count
-    n + 1 means sigma_min(R) > tol, the tolerance m * eps * (largest column
-    norm of R).  R[:, 1:] is a column subset of R, so by interlacing
-    (Golub and Van Loan, Matrix Computations, 8.6) sigma_min(R[:, 1:]) >=
-    sigma_min(R) > tol, and A's own tolerance, m * eps * (largest column
-    norm of R[:, 1:]), is at most tol: A has full rank n.  Otherwise A's
-    rank is decided on its own factor with A's row count m, so the
-    tolerance is A's own.  Factoring (b|A) rather than (A|b) keeps this
-    route apart from :func:`distance_qr`: the factor of (A|b) would repeat
-    A's factor in its leading block bit for bit, and the product identity
-    that ``verify`` checks between the two would hold by construction.
+    A's rank follows from that of (b|A) when the latter is full.  The rule
+    of ``qr._rank`` counts on R D^-1, D the diagonal of R's column norms,
+    and its count n + 1 means sigma_min(R D^-1) > m * eps.  A's column norms
+    are those of R[:, 1:], so A's rule counts on R[:, 1:] D_A^-1, a column
+    subset of R D^-1, at the same tolerance m * eps.  By interlacing (Golub
+    and Van Loan, Matrix Computations, 8.6) its smallest singular value is
+    at least sigma_min(R D^-1) > m * eps: A has full rank n.  Otherwise A's
+    rank is decided on its own factor with A's row count m.  Factoring (b|A)
+    rather than (A|b) keeps this route apart from :func:`distance_qr`: the
+    factor of (A|b) would repeat A's factor in its leading block bit for
+    bit, and the product identity that ``verify`` checks between the two
+    would hold by construction.
 
     A square A is factored directly; its augmented columns are necessarily
     dependent, so the augmented Gram determinant is exactly zero.  A wide A
@@ -164,12 +165,14 @@ def distance_qr(a, b) -> DistanceResult:
 
         value^2 = |r[n, n]|^2  +  ||U[:, k:]* r[:n, n]||^2
 
-    where R11 = U S V* and k counts the singular values above
-    max(m, n) * eps * (largest column norm of R11), the rank tolerance of A.
-    By unitarity this is the squared distance to the column span, wherever
-    the dependent columns sit.  Requires m >= n + 1 rows.  Full rank is
-    first tried by ``qr._certified``, the certificates of
-    :func:`~gramdist.qr._rank_of_r`, and the SVD runs only where it fails.
+    where R11 D^-1 = U S V*, D the diagonal of R11's column norms, and k
+    counts its singular values above m * eps: A's rank by the rule of
+    ``qr._rank``.  D leaves the range of R11 as it is, and a column of A
+    rescaled by a power of two leaves k and the value as they are, bit for
+    bit within the double range.  By unitarity this is the squared distance
+    to the column span, wherever the dependent columns sit.  Requires
+    m >= n + 1 rows.  The SVD runs only where the certificates of the rule
+    fail (``qr._outside_rank``).
 
     (A|b) is built once and factored in place; no name keeps it past the
     factorization, so the rank certificates' arrays do not stack on it.
@@ -178,14 +181,10 @@ def distance_qr(a, b) -> DistanceResult:
     m, n = mat.shape
     r = householder_qr(_stacked(mat, vec), overwrite_a=True)
     value = float(abs(r[n, n]))
-    r11 = r[:n, :n]
-    tol = _rank_tolerance(r11, m)
-    if not _certified(r11, tol):
-        # one SVD decides k and gives U; at k == n, U[:, k:] is empty and
-        # the hypot returns value exactly
-        u, s, _ = np.linalg.svd(r11)
-        k = int((s > tol).sum())
-        value = math.hypot(value, _column_norms(u[:, k:].conj().T @ r[:n, n]))
+    u = _outside_rank(r[:n, :n], m)
+    if u is not None:
+        # at a full count u is empty and the hypot returns value exactly
+        value = math.hypot(value, _column_norms(u.conj().T @ r[:n, n]))
     return DistanceResult(value, "qr_coordinate")
 
 

@@ -1,5 +1,5 @@
 """Householder QR through LAPACK, keeping only the triangular factor, and
-the ranks decided on it.
+the one rank rule of the package.
 
 The Gram log-determinant of the input is read directly off the triangular
 diagonal, which is the numerically safe way to get det(A* A) for tall
@@ -10,24 +10,26 @@ array in place: by default a copy of the operand, or, with
 for it.  geqrf is reached through ``numpy.linalg.lapack_lite``, so numpy
 stays the only runtime dependency.
 
-No rank is decided while factoring: a caller asks :func:`_rank_of_r`, or
-:func:`_certified` for the full count, with the triangular factor.  A
-full count is settled by the first certificate that proves it, cheapest
-first: on a factor of more than _TRIANGULAR_FIRST columns an O(n^2) back
-substitution on its comparison matrix (:func:`_certifies_triangular`),
+No rank is decided while factoring.  Every rank of the package is counted
+here, by the one rule of :func:`_rank`: the singular values above
+rows * eps of a matrix, or of its triangular factor, with column j
+divided by ||x_j||.  Full rank is settled by the first certificate that
+proves it, on the undivided matrix, then on the divided one.  Each tries,
+on a triangular factor of more than _TRIANGULAR_FIRST columns, an O(n^2)
+back substitution on its comparison matrix (:func:`_certifies_triangular`),
 then an O(n^3) shifted Cholesky of its Gram matrix
-(:func:`_certifies_full_rank`); an SVD runs only when both fail.  A count
-on a general matrix goes through :func:`_count_above`, which skips the
-first: the comparison matrix bounds only a triangular matrix.  Column
-norms come from ``linalg._column_norms``, the one norm rule of the
-package, and reductions are array methods: the same arithmetic as
-``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call
-Python cost, which dominates on small matrices.
+(:func:`_certifies_full_rank`), which alone bounds a general matrix.  An
+SVD runs only when they fail.  Column norms come from
+``linalg._column_norms``, the one norm rule of the package, and
+reductions are array methods: the same arithmetic as
+``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
+cost, which dominates on small matrices.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -43,36 +45,73 @@ _ETA = 2.0**-1074
 # per-call cost exceeds the whole Cholesky certificate on such a factor.
 _TRIANGULAR_FIRST = _BLOCK
 
+# A full-rank certificate: True only if sigma_min(a) >= 2 * tol.
+_Certificate = Callable[[np.ndarray, float], bool]
 
-def _rank_tolerance(r: np.ndarray, rows: int) -> float:
-    """max(m, n) * eps * (largest column norm) of A, from A or its factor R.
+# Entries within [1/_SQUARES_FIT, _SQUARES_FIT] have normal squares, and no
+# sum of them overflows.
+_SQUARES_FIT = 2.0**480
 
-    A column norm whose square overflows is recomputed on the column
-    divided by ``linalg._scaled``'s power of two, exactly, and scaled back,
-    so the tolerance overflows only where that norm does.
+
+def _rank(a: np.ndarray, rows: int, x: np.ndarray | None = None, *,
+          triangular: bool = False) -> int:
+    """The rank rule of the package: the number of singular values above
+    rows * eps of the m x n matrix a, m = rows, with column j divided by
+    ||x_j||, the norm of column j of x (by default a itself).
+
+    Column j of x is zero only where column j of a is.  With
+    ``triangular=True``, a is the triangular factor R of an m-row matrix A,
+    zero below its diagonal, with A's column norms and singular values.
+    Every column on one scale is within sqrt(n) of the best diagonal
+    scaling (van der Sluis 1969), and neither the scale of one column nor
+    the column order changes the count, as a distance to a column space
+    does not change.
     """
-    top = float(_column_norms(r).max())
-    if top == math.inf:
-        rs, s = _scaled(r)
-        top = float((s * _column_norms(rs)).max())
-    return max(rows, r.shape[1]) * EPS * top
+    certified = _certified if triangular else _certifies_full_rank
+    e = _divided(a, rows, x, certified)
+    return a.shape[1] if e is None else _count_above(e, rows * EPS, certified)
 
 
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
-    """Numerical rank of an m x n matrix A with m = rows, counted on its
-    n x n upper triangular factor R, as :func:`householder_qr` returns it.
+    """:func:`_rank` of the triangular factor r of an m-row matrix, m = rows."""
+    return _rank(r, rows, triangular=True)
 
-    Counts the singular values above max(m, n) * eps * (largest column norm
-    of A).  R has the column norms and singular values of A, so the count
-    is A's, and it does not depend on the column order.  Full rank is tried
-    by :func:`_certified`, which bounds only a triangular matrix, so r must
-    be that factor, zero below its diagonal; the SVD counts only where it
-    fails.  A count on A itself is ``_count_above(a, _rank_tolerance(a, m))``.
+
+def _outside_rank(r: np.ndarray, rows: int) -> np.ndarray | None:
+    """The directions outside the numerical range of the triangular factor
+    r of an m-row matrix, m = rows, by the rule of :func:`_rank`: None
+    where a certificate proves full rank, else U[:, k:] for the divided
+    r = U S V* and k its count, empty at a full count.  Dividing a column
+    by a positive number leaves the range as it is."""
+    e = _divided(r, rows, None, _certified)
+    if e is None or _certified(e, rows * EPS):
+        return None
+    u, s, _ = np.linalg.svd(e)
+    return u[:, int((s > rows * EPS).sum()):]
+
+
+def _divided(a: np.ndarray, rows: int, x: np.ndarray | None,
+             certified: _Certificate) -> np.ndarray | None:
+    """None where certified proves the count of :func:`_rank` full on a
+    itself, else a with column j divided by ||x_j|| (a zero column stays
+    zero), the matrix whose singular values the rule counts.
+
+    With D = diag(||x_j||), sigma_min(a D^-1) >= sigma_min(a) / max_j ||x_j||,
+    so a certificate of sigma_min(a) >= 2 rows eps max_j ||x_j|| proves
+    the full count without dividing, wherever the squares behind the norms
+    fit a double.  Otherwise column j of x and of a is first divided by the
+    power of two s_j that ``linalg._scaled`` takes for x_j, exactly, so the
+    quotient is the same for x_j and for x_j times any power of two, and
+    it is formed also where the squares of x_j leave the double range.
     """
-    tol = _rank_tolerance(r, rows)
-    if _certified(r, tol):
-        return r.shape[1]
-    return int((np.linalg.svd(r, compute_uv=False) > tol).sum())
+    x = a if x is None else x
+    if float(np.abs(x).max()) <= _SQUARES_FIT:
+        top = float(_column_norms(x).max())
+        if top >= 1.0 / _SQUARES_FIT and certified(a, rows * EPS * top):
+            return None
+    xs, s = _scaled(x)
+    norms = _column_norms(xs)
+    return a / (s * np.where(norms > 0.0, norms, 1.0))
 
 
 def _certified(r: np.ndarray, tol: float) -> bool:
@@ -82,19 +121,6 @@ def _certified(r: np.ndarray, tol: float) -> bool:
     :func:`_certifies_full_rank`."""
     return ((r.shape[1] > _TRIANGULAR_FIRST and _certifies_triangular(r, tol))
             or _certifies_full_rank(r, tol))
-
-
-def _count_above(a: np.ndarray, tol: float) -> int:
-    """Number of singular values of an m x n matrix a above tol.
-
-    a may be any matrix, triangular or not.  A full count is settled
-    without an SVD when :func:`_certifies_full_rank` proves
-    sigma_min >= 2 * tol; otherwise the singular values are computed and
-    counted.
-    """
-    if _certifies_full_rank(a, tol):
-        return a.shape[1]
-    return int((np.linalg.svd(a, compute_uv=False) > tol).sum())
 
 
 def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
@@ -210,6 +236,16 @@ def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
     # the factorization does not flag a nan pivot, and a sum of the entries
     # is finite only if every entry is
     return bool(np.isfinite(low.sum()))
+
+
+def _count_above(a: np.ndarray, tol: float,
+                 certified: _Certificate = _certifies_full_rank) -> int:
+    """Number of singular values of an m x n matrix a above tol, with no
+    SVD where certified, by default the shifted Cholesky that any matrix
+    takes, proves sigma_min >= 2 * tol."""
+    if certified(a, tol):
+        return a.shape[1]
+    return int((np.linalg.svd(a, compute_uv=False) > tol).sum())
 
 
 def _stacked(*blocks: np.ndarray) -> np.ndarray:

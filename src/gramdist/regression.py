@@ -6,8 +6,8 @@ loss value) is |r[n, n]|, the square root of the ratio of two centered Gram
 determinants, and the multiple correlation follows from it by Pythagoras.
 The classical route through the normal equations gives the coefficients
 and a second correlation to check against.  :func:`regression_report`
-computes them all, each step once, from the factor of ``qr`` and the
-normal equations and power-of-two scaling of ``linalg``.
+computes them all, each step once, from the factor and the rank rule of
+``qr`` and the normal equations and power-of-two scaling of ``linalg``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ZeroVariance
 from .linalg import EPS, _array, _column_norms, _frozen, _normal_solution, _scaled
-from .qr import _count_above, _stacked, householder_qr
+from .qr import _rank, _stacked, householder_qr
 
 
 def _real(a, ndim: int) -> np.ndarray:
@@ -100,34 +100,6 @@ def _design(d: Dataset) -> np.ndarray:
     return np.column_stack([np.ones(d.m), d.x])
 
 
-# A column whose largest entry lies within [1/_SQUARES_FIT, _SQUARES_FIT]
-# has normal squares, and no sum of them overflows.
-_SQUARES_FIT = 2.0**480
-
-
-def _equilibrated_rank(a: np.ndarray, x: np.ndarray, m: int) -> int:
-    """Number of singular values above m * eps of the m-row matrix a with
-    column j divided by ||x_j||, the norm of column j of x (a zero norm
-    divides by 1).
-
-    This is the one rank rule of the regression layer.  Dividing each
-    column by a norm puts every column on one scale, and column scaling is
-    within sqrt(n) of the best diagonal scaling (van der Sluis 1969), so
-    the scale of one column against the others does not change the count.
-    Where a nonzero column of x lies outside [1/_SQUARES_FIT, _SQUARES_FIT],
-    column j of x and of a is first divided by the power of two that
-    ``linalg._scaled`` takes for x_j.  That division is exact, so each
-    quotient is a_j / ||x_j|| bit for bit where the squares behind ||x_j||
-    fit a double, and it is still formed where they do not.
-    """
-    top = np.abs(x).max(axis=0)
-    if any(t > _SQUARES_FIT or 0.0 < t < 1.0 / _SQUARES_FIT for t in top.tolist()):
-        x, s = _scaled(x)
-        a = a / s
-    norms = _column_norms(x)
-    return _count_above(a / np.where(norms > 0.0, norms, 1.0), m * EPS)
-
-
 def design_rank(d: Dataset) -> int:
     """Numerical rank of the intercept-augmented matrix (1|X), wide or tall,
     counted on (1|X) itself with each column divided by its own norm: sqrt(m)
@@ -137,27 +109,15 @@ def design_rank(d: Dataset) -> int:
     at large offsets, where (1|X) is ill-conditioned relative to its largest
     column and Xc is not.
     """
-    a = _design(d)
-    return _equilibrated_rank(a, a, d.m)
+    return _rank(_design(d), d.m)
 
 
 def centered_rank(d: Dataset) -> int:
     """Rank of the centered sample matrix by the rule of the regression report,
-    counted on Xc itself."""
-    return _centered_rank_of_r(d.x - d.x.mean(axis=0), d)
-
-
-def _centered_rank_of_r(r: np.ndarray, d: Dataset) -> int:
-    """Rank of Xc, counted on Xc itself or on a triangular factor of it (the
-    two share singular values and column norms).
-
-    Column j is divided by the uncentered ||x_j|| (r divided the same way
-    stays Xc or its factor), and a singular value at or below m * eps is
-    not rank.  That catches the rounding that centering leaves, up to about
-    eps * ||x_j|| in column j of Xc: three samples of 0.1 center to a
-    nonzero 1e-17.
-    """
-    return _equilibrated_rank(r, d.x, d.m)
+    counted on Xc itself with column j divided by the uncentered ||x_j||, so
+    the rounding that centering leaves, up to about eps * ||x_j|| in column
+    j of Xc, is not rank: three samples of 0.1 center to a nonzero 1e-17."""
+    return _rank(d.x - d.x.mean(axis=0), d.m, d.x)
 
 
 def loss_value_residual(d: Dataset, a) -> float:
@@ -175,8 +135,11 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
 
     (Xc|yc) is stacked once, column-major, and factored in place.  The
     leading n x n block of its factor R is the factor of Xc, so the rank is
-    decided on Xc alone, by one count of :func:`_centered_rank_of_r`, and
-    the target column stays a plain value whatever the scale of y.  The
+    decided on Xc alone, by one count on that block with the divisors of
+    :func:`centered_rank`, and the target column stays a plain value
+    whatever the scale of y.  The loss value |r[n, n]| is thus the
+    distance of yc to the column space of Xc that ``distance_qr`` reads
+    off the factor of the same (Xc|yc), by the same rank rule.  The
     rank comes first: data that has fewer than n + 1 samples or is rank
     deficient raises :class:`RankDeficient`, even with a constant y.  A
     target with zero variance at tolerance raises :class:`ZeroVariance`.
@@ -201,7 +164,7 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     x_mean, y_mean = d.x.mean(axis=0), float(d.y.mean())
     xc, yc = d.x - x_mean, d.y - y_mean
     r = householder_qr(_stacked(xc, yc), overwrite_a=True)
-    if _centered_rank_of_r(r[:n, :n], d) < n:
+    if _rank(r[:n, :n], d.m, d.x, triangular=True) < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
     loss = float(abs(r[n, n]))
     ys, y_scale = _scaled(yc)

@@ -22,7 +22,7 @@ import numpy as np
 from .distance import _minor_identity, distance_det, distance_projection, distance_qr, gram_logdets
 from .errors import RankDeficient
 from .linalg import det_lu, solve_hermitian_psd
-from .qr import _count_above, _logdet_at_rank, _rank_of_r, _rank_tolerance, _stacked, gram_logdet, householder_qr
+from .qr import _logdet_at_rank, _rank, _rank_of_r, _stacked, gram_logdet, householder_qr
 from .regression import Dataset, RegressionReport, centered_rank, design_rank, loss_value_residual, regression_report
 from .rng import SplitMix64, derive_seed
 
@@ -66,7 +66,7 @@ def _rel(a: float, b: float) -> float:
 def _full_rank_complex(rng: SplitMix64, m: int, n: int) -> np.ndarray:
     for _ in range(64):
         a = rng.complex_matrix(m, n)
-        if _count_above(a, _rank_tolerance(a, m)) == n:
+        if _rank(a, m) == n:
             return a
     raise RuntimeError("could not draw a full-rank matrix")
 

@@ -175,6 +175,25 @@ class TestDist:
         det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
         assert 1e160 < qr < 1e162 and abs(det - qr) <= 1e-11 * qr
 
+    def test_small_regressor_keeps_the_determinant_route(self, capsys, tmp_path):
+        # (Xc, yc) of a 40x4 regression whose first regressor is multiplied
+        # by 1e-14: the column is no dependence, so the determinant route
+        # answers with the others and with the regression's loss value
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((40, 4)) + rng.normal(0.0, 3.0, 4)
+        y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.standard_normal(40)
+        x[:, 0] *= 1e-14
+        loss = gramdist.regression_report(gramdist.Dataset(x, y)).loss_value
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in xc.tolist())
+        ma = write(tmp_path, "a.csv", "x1,x2,x3,x4\n" + rows)
+        vb = write(tmp_path, "b.csv", "y\n" + "".join(f"{v!r}\n" for v in yc.tolist()))
+        code, out = run(capsys, ["dist", "--matrix", ma, "--vector", vb])
+        assert code == 0
+        assert float(line_value(out, "distance_det")) > 0.0
+        for key in ("distance_det", "distance_projection", "distance_qr"):
+            assert abs(float(line_value(out, key)) - loss) <= 1e-12 * loss, key
+
 
 class TestGramCheck:
     def test_unit_fixture(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gramdist import (
+    Dataset,
     DimensionMismatch,
     RankDeficient,
     ShapeError,
@@ -23,7 +24,9 @@ from gramdist import (
     householder_qr,
     minor_sum,
     orthogonal_minor_vector,
+    regression_report,
 )
+from gramdist.verify import SUITES
 
 SQRT2 = math.sqrt(2.0)
 
@@ -529,8 +532,9 @@ class TestLayout:
 
 
 class TestScaledInputs:
-    """Column norms whose squares overflow: the rank tolerance is taken on
-    the scaled-down matrix, so both factor routes scale with the input."""
+    """Column norms whose squares overflow: the rank rule takes them on
+    power-of-two scaled columns, so both factor routes scale with the
+    input."""
 
     @pytest.mark.parametrize("complex_input", [False, True])
     @pytest.mark.parametrize("scale", [1e160, 1e300])
@@ -539,8 +543,8 @@ class TestScaledInputs:
         a = random_complex(rng, 30, 5) if complex_input else rng.uniform(-1, 1, (30, 5))
         b = random_cvec(rng, 30) if complex_input else rng.uniform(-1, 1, 30)
         ref = scale * distance_qr(a, b).value
-        # the squares overflow on the way: the Gram matrix of the
-        # certificate holds inf, and the SVD settles the rank
+        # the squares overflow on the way: the rank rule divides each
+        # column by its norm, taken on the column scaled by a power of two
         with np.errstate(over="ignore", invalid="ignore"):
             det = distance_det(a * scale, b * scale).value
             qr = distance_qr(a * scale, b * scale).value
@@ -574,6 +578,75 @@ class TestScaledInputs:
             with pytest.raises(OverflowError, match=r"^A\* b does not fit a double$"):
                 distance_projection(a, b)
             assert 1e160 < distance_qr(a, b).value < 1e162
+
+
+def agreement_tolerance():
+    """The tolerance of the verify suite that compares the three routes."""
+    return {name: tol for name, _, tol in SUITES}["distance_agreement"]
+
+
+class TestColumnScale:
+    """A distance to a column space does not change when one column is
+    rescaled, and neither does the rank that the routes decide on the way."""
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_one_column_scaled_by_a_power_of_two(self, complex_input):
+        # distance_qr gives the same bits; distance_det agrees within the
+        # suite tolerance, its log magnitudes rounding near 2 k ln 2.  The
+        # projection route forms A* A, whose squares leave the double range
+        # at 2^+-600, where it raises a typed error instead of answering
+        tol = agreement_tolerance()
+        rng = np.random.default_rng(211 + complex_input)
+        a = random_complex(rng, 30, 5) if complex_input else rng.standard_normal((30, 5))
+        b = random_cvec(rng, 30) if complex_input else rng.standard_normal(30)
+        base = distance_qr(a, b).value
+        assert abs(distance_det(a, b).value - base) <= tol * base
+        assert abs(distance_projection(a, b).value - base) <= tol * base
+        for k in (-600, -60, 60, 600):
+            for j in range(5):
+                scaled = a.copy()
+                scaled[:, j] *= 2.0**k
+                with np.errstate(all="ignore"):
+                    assert distance_qr(scaled, b).value == base, (k, j)
+                    assert abs(distance_det(scaled, b).value - base) <= tol * base, (k, j)
+                    if abs(k) < 600:
+                        value = distance_projection(scaled, b).value
+                        assert abs(value - base) <= tol * base, (k, j)
+                    else:
+                        with pytest.raises((OverflowError, RankDeficient)):
+                            distance_projection(scaled, b)
+
+    def test_small_column_is_rank(self):
+        # column 0 at 1e-15 of the others: a rank tolerance relative to the
+        # largest column would drop it, and the distance to the span of the
+        # other four is larger
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((30, 5)), rng.standard_normal(30)
+        base = distance_qr(a, b).value
+        a[:, 0] *= 1e-15
+        tol = agreement_tolerance()
+        for route in (distance_det, distance_projection, distance_qr):
+            assert abs(route(a, b).value - base) <= tol * base, route.__name__
+        assert not gram_logdets(a, b)[0].is_zero
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-15, 1e-150, 1e150])
+    def test_loss_is_the_distance_of_the_centered_data(self, scale):
+        # delta = dist(Xc, yc): the regression's loss value and the three
+        # routes on (Xc, yc) give one number, with one regressor rescaled
+        d = scaled_regression(scale)
+        loss = regression_report(d).loss_value
+        xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
+        for route in (distance_det, distance_projection, distance_qr):
+            assert abs(route(xc, yc).value - loss) <= 1e-12 * loss, route.__name__
+
+
+def scaled_regression(scale):
+    """A 40x4 regression whose first regressor is multiplied by scale."""
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((40, 4)) + rng.normal(0.0, 3.0, 4)
+    y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.standard_normal(40)
+    x[:, 0] *= scale
+    return Dataset(x, y)
 
 
 class TestMemory:

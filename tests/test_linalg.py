@@ -23,8 +23,8 @@ from gramdist import (
     householder_qr,
     solve_hermitian_psd,
 )
-from gramdist.linalg import EPS, _array, _column_norms, _gram, _solve_triangular
-from gramdist.qr import _rank_tolerance
+from gramdist.linalg import EPS, _array, _column_norms, _gram, _scaled, _solve_triangular
+from gramdist.qr import _certifies_full_rank, _divided, _rank
 
 
 def det_cofactor(a):
@@ -170,16 +170,18 @@ class TestNormHelpers:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_rank_tolerance_overflow_branch(self, dtype):
-        # at 1e160 the squares behind each column norm overflow, so the
-        # tolerance is taken on r / max|r| and scaled back
+        # at 1e160 the squares behind each column norm overflow, so the rank
+        # rule takes each norm on the column divided by its power of two
+        # from _scaled and divides the matrix by those norms scaled back
         rng = np.random.default_rng(103)
         r = rng.standard_normal((6, 5)).astype(dtype) * 1e160
         with np.errstate(over="ignore"):
             assert np.max(np.linalg.norm(r, axis=0)) == math.inf
-            big = float(np.max(np.abs(r)))
-            ref = 6 * EPS * (big * float(np.max(np.linalg.norm(r / big, axis=0))))
-            got = _rank_tolerance(r, 6)
-        assert math.isfinite(got) and got == ref
+        rs, s = _scaled(r)
+        ref = s * _column_norms(rs)
+        got = _divided(r, 6, None, _certifies_full_rank)
+        assert np.isfinite(ref).all() and got.tobytes() == (r / ref).tobytes()
+        assert _rank(r, 6) == 5
 
 
 class TestLogDet:

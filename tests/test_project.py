@@ -2,12 +2,14 @@
 each numerical step, and what a failing property test prints."""
 
 import ast
+import inspect
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import gramdist
+import gramdist.qr
 
 PACKAGE = Path(gramdist.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
@@ -55,6 +57,34 @@ class TestLayering:
         owned = {"_certifies_triangular", "_certifies_full_rank", "_TRIANGULAR_FIRST"}
         assert owned <= names_in("qr")
         assert named_outside("qr", owned) == {}
+
+    def test_one_rank_rule_owned_by_qr(self):
+        # a rank count compares singular values with a tolerance: only qr
+        # takes singular values and holds the column division and its range
+        owned = {"_SQUARES_FIT", "_divided", "_count_above", "svd"}
+        assert owned <= names_in("qr")
+        assert named_outside("qr", owned) == {}
+
+    def test_callers_pass_the_rank_rule_no_tolerance(self):
+        # the rank entries take the matrix, its row count and the divisors;
+        # no argument of a call to one outside qr is formed from eps
+        entries = {"_rank", "_rank_of_r", "_outside_rank", "gram_logdet"}
+        for name in entries:
+            params = inspect.signature(getattr(gramdist.qr, name)).parameters
+            assert not {"tol", "tolerance"} & set(params), name
+        for path in PACKAGE.glob("*.py"):
+            if path.stem == "qr":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in entries:
+                    args = [*node.args, *(kw.value for kw in node.keywords)]
+                    assert not any(isinstance(sub, ast.Name) and sub.id == "EPS"
+                                   for arg in args for sub in ast.walk(arg)), path.stem
+        assert "EPS" not in names_in("distance")
+
+    def test_the_old_rank_rules_are_gone(self):
+        gone = {"_rank_tolerance", "_equilibrated_rank", "_centered_rank_of_r"}
+        assert {p.stem for p in PACKAGE.glob("*.py") if names_in(p.stem) & gone} == set()
 
     def test_power_of_two_scaling_is_only_in_linalg(self):
         owned = {"frexp", "ldexp"}

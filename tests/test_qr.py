@@ -28,14 +28,26 @@ from gramdist import (
     householder_qr,
     regression_report,
 )
-from gramdist.linalg import EPS
+from gramdist.linalg import EPS, _column_norms, _scaled
 from gramdist.qr import (
     _certifies_full_rank,
     _certifies_triangular,
     _count_above,
+    _rank,
     _rank_of_r,
-    _rank_tolerance,
 )
+
+
+def rank_tolerance(a, rows):
+    """max(m, n) * eps * (largest column norm) of an m x n matrix a, m =
+    rows, or of its factor: a tolerance to test the certificates at.  A
+    column norm whose square overflows is taken on the column divided by
+    its power of two from ``linalg._scaled`` and scaled back."""
+    top = float(_column_norms(a).max())
+    if top == math.inf:
+        rs, s = _scaled(a)
+        top = float((s * _column_norms(rs)).max())
+    return max(rows, a.shape[1]) * EPS * top
 
 
 def gram_schmidt(a, tol=1e-12):
@@ -317,7 +329,7 @@ def with_sigma_min(rng, m, n, factor, complex_input=False, top=1.0):
     if factor is None:
         s[-1] = math.sqrt(EPS) * top
     else:
-        s[-1] = factor * _rank_tolerance((u * s) @ v.conj().T, m)
+        s[-1] = factor * rank_tolerance((u * s) @ v.conj().T, m)
     return (u * s) @ v.conj().T
 
 
@@ -341,7 +353,7 @@ class TestRankCertificate:
 
     @staticmethod
     def check(a, tol=None):
-        tol = _rank_tolerance(a, a.shape[0]) if tol is None else tol
+        tol = rank_tolerance(a, a.shape[0]) if tol is None else tol
         count = svd_count(a, tol)
         certified = _certifies_full_rank(a, tol)
         assert not certified or count == a.shape[1]
@@ -381,7 +393,7 @@ class TestRankCertificate:
         for m, n in ((2, 3), (5, 9), (1, 4)):
             a = random_complex(rng, m, n)
             assert not self.check(a)
-            assert _count_above(a, _rank_tolerance(a, m)) == m
+            assert _count_above(a, rank_tolerance(a, m)) == m
 
     def test_overflow_claims_nothing(self):
         # squares beyond the double range: the Gram matrix holds inf, so the
@@ -398,7 +410,7 @@ class TestRankCertificate:
         # and no warning on the way to the SVD
         a = 0.9e154 * np.array([[1.0, 1.0], [1.0, -1.0]])
         assert not self.check(a)
-        assert _count_above(a, _rank_tolerance(a, 2)) == 2
+        assert _count_above(a, rank_tolerance(a, 2)) == 2
 
     def test_tolerance_survives_overflowing_squares(self):
         # exact power-of-two scalings: column norms up to about 1e302, whose
@@ -407,10 +419,10 @@ class TestRankCertificate:
         rng = np.random.default_rng(107)
         for a, m in ((rng.standard_normal((30, 5)), 30), (random_complex(rng, 12, 12), 12),
                      (householder_qr(random_complex(rng, 40, 6)), 40)):
-            tol = _rank_tolerance(a, m)
+            tol = rank_tolerance(a, m)
             for k in (520, 1000):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scaled = _rank_tolerance(a * 2.0**k, m)
+                    scaled = rank_tolerance(a * 2.0**k, m)
                     assert _count_above(a * 2.0**k, scaled) == a.shape[1]
                 assert abs(scaled / (tol * 2.0**k) - 1.0) <= 4 * EPS
 
@@ -421,7 +433,7 @@ class TestRankCertificate:
         monkeypatch.setattr(np.linalg, "svd", None)
         for a in inputs:
             for scale in (1.0, 2.0**400, 2.0**-400):
-                assert _count_above(a * scale, _rank_tolerance(a * scale, a.shape[0])) == a.shape[1]
+                assert _count_above(a * scale, rank_tolerance(a * scale, a.shape[0])) == a.shape[1]
 
     def test_shift_sets_the_threshold(self):
         # sigma_min^2 at four times the shift certifies, at a quarter fails;
@@ -433,7 +445,7 @@ class TestRankCertificate:
                 base = with_sigma_min(rng, m, n, 0.0, cplx)
                 fro2 = float(np.sum(np.abs(base) ** 2))
                 u, s, vh = np.linalg.svd(base, full_matrices=False)
-                for tol in (_rank_tolerance(base, m), 1e-3):
+                for tol in (rank_tolerance(base, m), 1e-3):
                     shift = 4.0 * tol * tol + 2.0 * (m + n + 2) * EPS * fro2
                     for ratio, expected in ((4.0, True), (0.25, False)):
                         s[-1] = math.sqrt(ratio * shift)
@@ -461,6 +473,52 @@ class TestRankCertificate:
         elif n > 1 and dependent == "scaled":
             a[:, -1] = -2.5 * a[:, 0]
         self.check(a * 2.0**scale_exp)
+
+
+class TestColumnScaleInvariance:
+    """The rank rule divides each column by its norm, so scaling one column
+    by a power of two changes no count, on the matrix or on its factor."""
+
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        complex_input=st.booleans(),
+        factor=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 1e3, None]),
+        dependent=st.sampled_from(["none", "zero", "duplicate", "scaled"]),
+        column=st.integers(0, 11),
+        k=st.integers(-600, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_scaled_column_keeps_the_count(self, m, n, complex_input, factor, dependent,
+                                               column, k, seed):
+        rng = np.random.default_rng(seed)
+        if m >= n:
+            a = with_sigma_min(rng, m, n, factor, complex_input)
+        else:
+            a = random_complex(rng, m, n) if complex_input else rng.uniform(-1, 1, (m, n))
+        if n > 1 and dependent == "zero":
+            a[:, 0] = 0.0
+        elif n > 1 and dependent == "duplicate":
+            a[:, -1] = a[:, 0]
+        elif n > 1 and dependent == "scaled":
+            a[:, -1] = -2.5 * a[:, 0]
+        scaled = a.copy()
+        scaled[:, column % n] *= 2.0**k
+        counts = [(_rank(x, m), _rank_of_r(householder_qr(x), m) if m >= n else None)
+                  for x in (a, scaled)]
+        assert counts[0] == counts[1]
+        if dependent != "none" and n > 1:
+            assert counts[0][0] < n
+
+    def test_one_small_column_is_rank(self):
+        # one column at 2^-50 of the others: a tolerance relative to the
+        # largest column norm would count it as no rank
+        rng = np.random.default_rng(113)
+        for a in (rng.standard_normal((30, 5)), random_complex(rng, 12, 6)):
+            a[:, 0] *= 2.0**-50
+            m, n = a.shape
+            assert _rank(a, m) == _rank_of_r(householder_qr(a), m) == n
+            assert _count_above(a, rank_tolerance(a, m)) < n
 
 
 def kahan(rng, n, complex_input):
@@ -506,7 +564,7 @@ class TestTriangularCertificate:
             r = householder_qr(random_complex(rng, m, n)).copy()
             r[(i := int(rng.integers(0, n))), i] = 0.0
         r = r * 2.0**scale_exp
-        tol = tol_scale * _rank_tolerance(r, m)
+        tol = tol_scale * rank_tolerance(r, m)
         certified = _certifies_triangular(r, tol)
         assert not certified or svd_count(r, tol) == n
         if kind == "zero_diagonal":
@@ -519,7 +577,7 @@ class TestTriangularCertificate:
         for m, n in ((1000, 201), (1000, 200), (12, 12), (40, 8)):
             r = householder_qr(random_complex(rng, m, n))
             for scale in (1.0, 2.0**500, 2.0**-500):
-                assert _certifies_triangular(r * scale, _rank_tolerance(r * scale, m))
+                assert _certifies_triangular(r * scale, rank_tolerance(r * scale, m))
 
     def test_overflow_claims_nothing(self):
         # x = M^-1 e overflows to inf, and with a zero tolerance the test

@@ -27,8 +27,8 @@ from gramdist import (
 )
 from gramdist.cli import main
 from gramdist.linalg import EPS
-from gramdist.qr import _count_above, _rank_of_r, _rank_tolerance
-from gramdist.regression import _centered_rank_of_r
+from gramdist.qr import _count_above, _rank, _rank_of_r
+from test_qr import rank_tolerance
 
 SQRT_02 = math.sqrt(0.2)
 SQRT_09 = math.sqrt(0.9)
@@ -341,8 +341,8 @@ class TestRankRelation:
             elif case == 4:
                 a[:, n - 1] = 0.1
             for scale in (1.0, 1e8):
-                count = _count_above(scale * a, _rank_tolerance(scale * a, m))
-                assert count == _rank_of_r(householder_qr(scale * a), m)
+                count = _count_above(scale * a, rank_tolerance(scale * a, m))
+                assert count == _rank(scale * a, m) == _rank_of_r(householder_qr(scale * a), m)
         datasets = [*centering_residue_datasets(), offset_dataset()]
         for m, n in ((2, 3), (3, 5), (6, 6), (7, 4), (40, 8)):
             x = rng.uniform(-1, 1, (m, n))
@@ -355,7 +355,7 @@ class TestRankRelation:
         for d in datasets:
             xc = d.x - d.x.mean(axis=0)
             padded = np.vstack([xc, np.zeros((max(d.n - d.m, 0), d.n))])
-            assert _centered_rank_of_r(xc, d) == _centered_rank_of_r(householder_qr(padded), d)
+            assert _rank(xc, d.m, d.x) == _rank(householder_qr(padded), d.m, d.x, triangular=True)
 
     def test_constant_columns_drop_centered_rank(self):
         # the rule the report enforces: an exact constant centers to zeros,
@@ -438,21 +438,21 @@ class TestRegressionReport:
         import gramdist.qr as qr
         import gramdist.regression as reg
 
-        count_above = qr._count_above
+        rank = qr._rank
         calls = []
         factored = []
         svds = []
 
-        def counted(a, tol):
+        def counted(a, rows, x=None, **kwargs):
             calls.append(a.shape)
-            return count_above(a, tol)
+            return rank(a, rows, x, **kwargs)
 
         def counted_qr(a):
             factored.append(np.shape(a))
             return householder_qr(a)
 
-        monkeypatch.setattr(qr, "_count_above", counted)
-        monkeypatch.setattr(reg, "_count_above", counted)
+        monkeypatch.setattr(qr, "_rank", counted)
+        monkeypatch.setattr(reg, "_rank", counted)
         householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
         assert calls == []
         regression_report(line_fixture)
