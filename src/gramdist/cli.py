@@ -21,21 +21,21 @@ raises ``SystemExit`` for usage errors and ``--help``), and tests and the
 benchmark call it in-process.  Each command runs under
 ``np.errstate(over="ignore", invalid="ignore")``, so an overflow that a
 command handles prints no RuntimeWarning; a value that does not fit a
-double is never printed, it ends the command with exit 1.  Only
-``verify`` imports the ``verify`` and ``rng`` modules.  The process entry that freezes the import-time heap is
-``gramdist.__main__.entry``.
+double is never printed, it ends the command with exit 1.  Modules load
+where a command needs them: only ``verify`` imports the ``verify`` and
+``rng`` modules, only the commands that read a CSV file import ``csvio``,
+and only JSON output imports ``json``.  The process entry that freezes
+the import-time heap is ``gramdist.__main__.entry``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from .csvio import parse_csv
 from .distance import _det_ratio, _minor_identity, distance_projection, distance_qr, gram_logdets
 from .errors import GramDistError, RankDeficient, ShapeError, ZeroVariance
 from .qr import gram_logdet, householder_qr
@@ -110,6 +110,8 @@ def _payload(command, inputs, results, deviations, code):
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(_json_safe(payload), ensure_ascii=False))
         return
     head = " ".join(f"{k}={v}" for k, v in payload["inputs"].items())
@@ -128,6 +130,8 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _cmd_dist(args) -> int:
+    from .csvio import parse_csv
+
     a = parse_csv(args.matrix, "complex").matrix()
     bm = parse_csv(args.vector, "complex").matrix()
     if bm.shape[1] != 1:
@@ -184,6 +188,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_gram_check(args) -> int:
+    from .csvio import parse_csv
+
     a = parse_csv(args.matrix, "complex").matrix()
     s, bvec = _minor_identity(a)
     g = gram_logdet(householder_qr(a), a.shape[0]).magnitude()
@@ -203,6 +209,8 @@ def _cmd_gram_check(args) -> int:
 
 
 def _cmd_regress(args) -> int:
+    from .csvio import parse_csv
+
     table = parse_csv(args.data, "real")
     if args.target not in table.header:
         raise GramDistError(f"target column {args.target!r} not found in header")

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ShapeError
-from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _frozen, _scaled, _solve_triangular
+from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _finite, _frozen, _scaled, _solve_triangular
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
@@ -47,6 +47,10 @@ _TRIANGULAR_FIRST = _BLOCK
 
 # A full-rank certificate: True only if sigma_min(a) >= 2 * tol.
 _Certificate = Callable[[np.ndarray, float], bool]
+
+# The upper triangle of every n x n factor with n <= _BLOCK, as the
+# top-left block of one read-only mask.
+_UPPER = _frozen(np.triu(np.ones((_BLOCK, _BLOCK), bool)))
 
 # Entries within [1/_SQUARES_FIT, _SQUARES_FIT] have normal squares, and no
 # sum of them overflows.
@@ -97,21 +101,44 @@ def _divided(a: np.ndarray, rows: int, x: np.ndarray | None,
     zero), the matrix whose singular values the rule counts.
 
     With D = diag(||x_j||), sigma_min(a D^-1) >= sigma_min(a) / max_j ||x_j||,
-    so a certificate of sigma_min(a) >= 2 rows eps max_j ||x_j|| proves
-    the full count without dividing, wherever the squares behind the norms
-    fit a double.  Otherwise column j of x and of a is first divided by the
-    power of two s_j that ``linalg._scaled`` takes for x_j, exactly, so the
-    quotient is the same for x_j and for x_j times any power of two, and
-    it is formed also where the squares of x_j leave the double range.
+    so a certificate of sigma_min(a) >= 2 rows eps top, for any top at or
+    above max_j ||x_j||, proves the full count without dividing, wherever
+    the squares behind the norms fit a double.  On a matrix of at most
+    _BLOCK columns and _BLOCK^2 entries top is :func:`_norm_bound`, read
+    off the max|x| of that range check, and elsewhere the largest norm
+    itself.  A larger top only asks more of the certificate, so the
+    shortcut can fail where the exact norm would pass, never pass where
+    the count falls short: a matrix it fails goes on to the divided count
+    and gets the count the rule defines.  There column j of x and of a is
+    first divided by the power of two s_j that ``linalg._scaled`` takes
+    for x_j, exactly, so the quotient is the same for x_j and for x_j times
+    any power of two, and it is formed also where the squares of x_j leave
+    the double range.
     """
     x = a if x is None else x
-    if float(np.abs(x).max()) <= _SQUARES_FIT:
-        top = float(_column_norms(x).max())
+    big = float(np.abs(x).max())
+    if big <= _SQUARES_FIT:
+        p, n = x.shape
+        if n <= _BLOCK and p * n <= _BLOCK * _BLOCK:
+            top = _norm_bound(big, p)
+        else:
+            top = float(_column_norms(x).max())
         if top >= 1.0 / _SQUARES_FIT and certified(a, rows * EPS * top):
             return None
     xs, s = _scaled(x)
     norms = _column_norms(xs)
     return a / (s * np.where(norms > 0.0, norms, 1.0))
+
+
+def _norm_bound(big: float, rows: int) -> float:
+    """An upper bound on the computed norm of every column of a matrix of
+    the given row count whose largest entry modulus is big, for big within
+    [1/_SQUARES_FIT, _SQUARES_FIT]: sqrt(rows) big, which column j reaches
+    only when all its entries share the modulus big, raised by
+    (rows + 4) eps.  That covers the rounding of the norm (the squares, a
+    sum of rows terms, the root, and big itself off the rounded modulus of
+    a complex entry) and of this product, with room to spare."""
+    return math.sqrt(rows) * big * (1.0 + (rows + 4) * EPS)
 
 
 def _certified(r: np.ndarray, tol: float) -> bool:
@@ -233,9 +260,8 @@ def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
-    # the factorization does not flag a nan pivot, and a sum of the entries
-    # is finite only if every entry is
-    return bool(np.isfinite(low.sum()))
+    # the factorization does not flag a nan pivot
+    return _finite(low)
 
 
 def _count_above(a: np.ndarray, tol: float,
@@ -292,7 +318,10 @@ def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:
     info = geqrf(m, n, work.T, m, tau, np.empty(lwork, work.dtype), lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"geqrf failed with info={info}")
-    return _frozen(np.triu(work[:n]))
+    if n > _BLOCK:
+        return _frozen(np.triu(work[:n]))
+    # np.triu's where, without rebuilding its mask: +0.0 below the diagonal
+    return _frozen(np.where(_UPPER[:n, :n], work[:n], 0.0))
 
 
 def gram_logdet(r: np.ndarray, rows: int) -> LogDet:

@@ -117,7 +117,7 @@ def centered_rank(d: Dataset) -> int:
     counted on Xc itself with column j divided by the uncentered ||x_j||, so
     the rounding that centering leaves, up to about eps * ||x_j|| in column
     j of Xc, is not rank: three samples of 0.1 center to a nonzero 1e-17."""
-    return _rank(d.x - d.x.mean(axis=0), d.m, d.x)
+    return _rank(d.x - d.x.sum(axis=0) / d.m, d.m, d.x)
 
 
 def loss_value_residual(d: Dataset, a) -> float:
@@ -161,7 +161,8 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     n = d.n
     if d.m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    x_mean, y_mean = d.x.mean(axis=0), float(d.y.mean())
+    # the sums over the count: what .mean() computes, without its set-up
+    x_mean, y_mean = d.x.sum(axis=0) / d.m, float(d.y.sum()) / d.m
     xc, yc = d.x - x_mean, d.y - y_mean
     r = householder_qr(_stacked(xc, yc), overwrite_a=True)
     if _rank(r[:n, :n], d.m, d.x, triangular=True) < n:

@@ -14,11 +14,17 @@ Conventions (fixed so instances are portable):
 * matrices fill row by row.
 
 The scalar methods (``next_u64``, ``uniform``, ``complex_disc``, ``randint``)
-define the stream.  The array draws compute the same values in one batch:
-from state s, the i-th next output (counting from 1) is mix64(s + i * gamma),
-so a whole prefix can be formed from the counter at once.  They return
-exactly what the scalar draws would and leave the counter where those
-would, so instances do not depend on which methods drew them.
+define the stream.  From state s, the i-th next output (counting from 1) is
+mix64(s + i * gamma): every value depends only on the counter, so the array
+draws can compute the stream ahead of the scalar ones.  A generator keeps a
+block of the next _BLOCK_SIZE uniforms, formed in one array pass from the
+counter and the module's step table (1.._BLOCK_SIZE) * gamma, and serves
+each array draw from it as a copy; a draw that runs past the block's end
+refills it from the current counter, and a longer draw is computed on its
+own.  The scalar draws and the rewind of ``complex_vector`` move the block
+position with the counter.  The array draws return exactly what the scalar
+draws would and leave the counter where those would, so instances do not
+depend on which methods drew them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,20 @@ _GAMMA_U64 = np.uint64(_GAMMA)
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
 _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+# The uniforms a generator computes ahead of its counter in one pass, and
+# the counter steps to them: gamma, 2 gamma, ..., _BLOCK_SIZE gamma.
+_BLOCK_SIZE = 512
+
+
+def _steps(k: int) -> np.ndarray:
+    steps = np.arange(1, k + 1, dtype=np.uint64)
+    steps *= _GAMMA_U64
+    return steps
+
+
+_BLOCK_STEPS = _steps(_BLOCK_SIZE)
+_NO_BLOCK = np.empty(0)
 
 
 def mix64(z: int) -> int:
@@ -52,16 +72,36 @@ def derive_seed(seed: int, *path: int) -> int:
     return state
 
 
+def _unit(state: int, steps: np.ndarray) -> np.ndarray:
+    """The uniforms on [-1, 1] at the counters state + steps, in one array
+    pass: the top 53 bits of mix64 of each."""
+    z = steps + np.uint64(state)
+    z ^= z >> _SHIFT30
+    z *= _MIX1_U64
+    z ^= z >> _SHIFT27
+    z *= _MIX2_U64
+    z ^= z >> _SHIFT31
+    u = (z >> _SHIFT11).astype(np.float64)
+    u *= 2.0**-52
+    u -= 1.0
+    return u
+
+
 class SplitMix64:
     """state += gamma; output = mix64(state)."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_block", "_pos")
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
+        # _block[i] is the uniform at counter base + (i + 1) gamma, and the
+        # counter is base + _pos gamma; the first draw fills the block
+        self._block = _NO_BLOCK
+        self._pos = _BLOCK_SIZE
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & MASK64
+        self._pos += 1
         return mix64(self._state)
 
     def uniform(self) -> float:
@@ -84,20 +124,18 @@ class SplitMix64:
                 return complex(re, im)
 
     def _uniforms(self, k: int) -> np.ndarray:
-        """The next k values of ``uniform``, computed in one array pass from
-        the counter: output i is mix64(state + i * gamma)."""
-        z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= _GAMMA_U64
-        z += np.uint64(self._state)
-        z ^= z >> _SHIFT30
-        z *= _MIX1_U64
-        z ^= z >> _SHIFT27
-        z *= _MIX2_U64
-        z ^= z >> _SHIFT31
+        """The next k values of ``uniform``, as a new array: a copy of the
+        block, refilled first where the draw runs past its end, and for
+        k > _BLOCK_SIZE computed on their own from the counter."""
+        if k > _BLOCK_SIZE:
+            u = _unit(self._state, _steps(k))
+        else:
+            if self._pos + k > _BLOCK_SIZE:
+                self._block = _unit(self._state, _BLOCK_STEPS)
+                self._pos = 0
+            u = self._block[self._pos:self._pos + k].copy()
+        self._pos += k
         self._state = (self._state + k * _GAMMA) & MASK64
-        u = (z >> _SHIFT11).astype(np.float64)
-        u *= 2.0**-52
-        u -= 1.0
         return u
 
     def real_vector(self, n: int) -> np.ndarray:
@@ -111,15 +149,14 @@ class SplitMix64:
         done = 0
         while done < n:
             need = n - done
-            start = self._state
-            u = self._uniforms(2 * (need + need // 2 + 1))
-            re, im = u[0::2], u[1::2]
-            taken = np.flatnonzero(re * re + im * im <= 1.0)[:need]
-            out.real[done:done + taken.size] = re[taken]
-            out.imag[done:done + taken.size] = im[taken]
+            z = self._uniforms(2 * (need + need // 2 + 1)).view(np.complex128)
+            taken = (z.real * z.real + z.imag * z.imag <= 1.0).nonzero()[0][:need]
+            out[done:done + taken.size] = z[taken]
             done += taken.size
             if done == n:
-                self._state = (start + 2 * (int(taken[-1]) + 1) * _GAMMA) & MASK64
+                unused = 2 * (z.size - 1 - int(taken[-1]))
+                self._state = (self._state - unused * _GAMMA) & MASK64
+                self._pos -= unused
         return out
 
     def real_matrix(self, m: int, n: int) -> np.ndarray:

@@ -559,15 +559,18 @@ class TestDependencies:
         assert res.returncode == 0, res.stderr
         loaded = set(res.stdout.split())
         assert "gramdist.cli" in loaded and not set(VERIFY_STACK) & loaded
+        # and the CSV reader and json only where a file is read or JSON written
+        lazy = {*VERIFY_STACK, "gramdist.csvio", "json"}
         for argv, expected in (
-            (["regress", "--data", regress_file, "--target", "y"], set()),
+            (["regress", "--data", regress_file, "--target", "y"], {"gramdist.csvio"}),
+            (["regress", "--data", regress_file, "--target", "y", "--format", "json"], {"gramdist.csvio", "json"}),
             (["verify", "--trials", "1"], set(VERIFY_STACK)),
         ):
             res = python("-X", "importtime", "-m", "gramdist", *argv)
             assert res.returncode == 0, res.stderr
             names = imported(res.stderr)
             assert "gramdist.cli" in names
-            assert set(VERIFY_STACK) & names == expected, argv[0]
+            assert lazy & names == expected, argv
 
     def test_lazy_names_are_listed(self):
         assert set(gramdist.__all__) <= set(dir(gramdist))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.linalg import lapack_lite
 
@@ -30,9 +30,13 @@ from gramdist import (
 )
 from gramdist.linalg import EPS, _column_norms, _scaled
 from gramdist.qr import (
+    _BLOCK,
+    _SQUARES_FIT,
     _certifies_full_rank,
     _certifies_triangular,
     _count_above,
+    _divided,
+    _norm_bound,
     _rank,
     _rank_of_r,
 )
@@ -309,6 +313,18 @@ class TestLapackCanary:
         a = np.random.default_rng(73).integers(-9, 10, (7, 4))
         self.assert_bit_identical(a)
 
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_every_small_order(self, complex_input):
+        # up to _BLOCK columns R is cut from the reflectors by a cached
+        # mask, beyond it by np.triu; both leave +0.0 below the diagonal
+        rng = np.random.default_rng([83, int(complex_input)])
+        for n in range(1, 41):
+            for m in (n, n + 3):
+                a = random_complex(rng, m, n) if complex_input else rng.uniform(-1, 1, (m, n))
+                self.assert_bit_identical(a, f"{m}x{n}")
+                below = householder_qr(a)[np.tril_indices(n, -1)]
+                assert not np.signbit(below.real).any() and not np.signbit(below.imag).any()
+
 
 def svd_count(a, tol):
     return int(np.sum(np.linalg.svd(a, compute_uv=False) > tol))
@@ -414,17 +430,22 @@ class TestRankCertificate:
 
     def test_tolerance_survives_overflowing_squares(self):
         # exact power-of-two scalings: column norms up to about 1e302, whose
-        # squares overflow, give the scaled tolerance to a few ulps and the
-        # full count
+        # squares overflow, reach the division of qr._divided, which divides
+        # column j by s_j ||x_j / s_j||, s_j from linalg._scaled: 2^k times
+        # the norm in range to a few ulps, and the full count
         rng = np.random.default_rng(107)
         for a, m in ((rng.standard_normal((30, 5)), 30), (random_complex(rng, 12, 12), 12),
                      (householder_qr(random_complex(rng, 40, 6)), 40)):
-            tol = rank_tolerance(a, m)
+            norms = _column_norms(a)
             for k in (520, 1000):
+                x = a * 2.0**k
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scaled = rank_tolerance(a * 2.0**k, m)
-                    assert _count_above(a * 2.0**k, scaled) == a.shape[1]
-                assert abs(scaled / (tol * 2.0**k) - 1.0) <= 4 * EPS
+                    assert _count_above(x, rank_tolerance(x, m)) == a.shape[1]
+                divided = _divided(x, m, None, _certifies_full_rank)
+                xs, s = _scaled(x)
+                divisors = s * _column_norms(xs)
+                assert divided.tobytes() == (x / divisors).tobytes()
+                assert np.abs(divisors / (norms * 2.0**k) - 1.0).max() <= 4 * EPS
 
     def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
         rng = np.random.default_rng(89)
@@ -519,6 +540,45 @@ class TestColumnScaleInvariance:
             m, n = a.shape
             assert _rank(a, m) == _rank_of_r(householder_qr(a), m) == n
             assert _count_above(a, rank_tolerance(a, m)) < n
+
+
+class TestNormBound:
+    """Up to _BLOCK columns and _BLOCK^2 entries, the undivided certificate
+    of qr._divided is asked at sqrt(p) max|x| for a p-row x, not at the
+    largest column norm: the computed bound must be at or above every
+    computed column norm, or the certificate would prove less than the
+    rule asks."""
+
+    @given(
+        p=st.integers(1, _BLOCK),
+        n=st.integers(1, _BLOCK),
+        complex_input=st.booleans(),
+        kind=st.sampled_from(["uniform", "equal_column", "at_fit"]),
+        exponent=st.sampled_from([-479, -200, 0, 200, 479]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_covers_every_column_norm(self, p, n, complex_input, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        x = random_complex(rng, p, n) if complex_input else rng.uniform(-1, 1, (p, n))
+        if kind == "equal_column":
+            # the equality case: a column whose entries all share max|x|
+            x[:, rng.integers(n)] = x.flat[np.abs(x).argmax()]
+        x = x * 2.0**exponent
+        if kind == "at_fit":
+            x[:, rng.integers(n)] = _SQUARES_FIT
+        big = float(np.abs(x).max())
+        assume(1.0 / _SQUARES_FIT <= big <= _SQUARES_FIT)
+        assert _norm_bound(big, p) >= float(_column_norms(x).max())
+
+    def test_equal_entries_at_the_ends_of_the_range(self):
+        # one column of p equal entries, the case where sqrt(p) max|x| is
+        # the norm itself, at every p and at entries near 1 / _SQUARES_FIT,
+        # 1 and _SQUARES_FIT
+        for c in (1.0 / _SQUARES_FIT, 1.0, 1.0 + 2**-52, 3.0, 0.1, _SQUARES_FIT * (1 - 2**-53),
+                  _SQUARES_FIT, (0.6 + 0.8j) * _SQUARES_FIT, 0.1 + 0.7j):
+            for p in range(1, _BLOCK + 1):
+                x = np.full((p, 1), c)
+                assert _norm_bound(float(np.abs(x).max()), p) >= float(_column_norms(x).max()), (c, p)
 
 
 def kahan(rng, n, complex_input):

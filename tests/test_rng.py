@@ -161,3 +161,47 @@ class TestBatchedDraws:
                 self.assert_same_draws(a, b, a.complex_vector(n), scalar_complex(b, n))
                 refilled += len(batches) > 1
         assert refilled >= 20
+
+    def test_block_boundaries_match_scalar_stream(self):
+        # the array draws come from a block of _BLOCK_SIZE uniforms computed
+        # ahead of the counter: a draw that ends at, crosses or exceeds the
+        # block's end takes the same values as the scalars
+        for seed in SEEDS:
+            for n in (511, 512, 513, 2000):
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                self.assert_same_draws(a, b, a.real_vector(n), scalar_real(b, n))
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                self.assert_same_draws(a, b, a.complex_vector(n), scalar_complex(b, n))
+
+    def test_small_draws_across_block_ends(self):
+        # runs of small array draws adding up past several block ends, with
+        # scalar draws and complex rewinds between them
+        for seed in SEEDS:
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            batched, scalar = [], []
+            for i in range(120):
+                n = 1 + (7 * i) % 23
+                if i % 3 == 0:
+                    batched.append(a.complex_vector(n).tobytes())
+                    scalar.append(scalar_complex(b, n).tobytes())
+                else:
+                    batched.append(a.real_vector(n).tobytes())
+                    scalar.append(scalar_real(b, n).tobytes())
+                if i % 5 == 0:
+                    batched.append((a.uniform(), a.randint(0, 9), a.complex_disc()))
+                    scalar.append((b.uniform(), b.randint(0, 9), b.complex_disc()))
+                assert a._state == b._state
+            assert batched == scalar
+            assert a.next_u64() == b.next_u64()
+
+    def test_drawn_arrays_are_not_the_block(self):
+        # every array draw is a copy: writing into one changes no later draw
+        for seed in SEEDS:
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            for n in (3, 40, 600):
+                for draw, scalar in ((a.real_vector, scalar_real), (a.complex_vector, scalar_complex)):
+                    v = draw(n)
+                    assert not np.shares_memory(v, a._block)
+                    v[:] = 0.0
+                    scalar(b, n)
+            self.assert_same_draws(a, b, a.complex_vector(30), scalar_complex(b, 30))
