@@ -24,7 +24,6 @@ from .errors import (
 from .linalg import (
     EPS,
     LogDet,
-    det_lu,
     solve_hermitian_psd,
 )
 from .qr import gram_logdet, householder_qr
@@ -71,7 +70,6 @@ __all__ = [
     "centered_rank",
     "derive_seed",
     "design_rank",
-    "det_lu",
     "distance_det",
     "distance_projection",
     "distance_qr",

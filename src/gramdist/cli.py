@@ -281,13 +281,17 @@ def _verify_payload(seed: int, trials: int, suites, code: int) -> dict:
     its per-trial record (sha256 over each trial's ok byte and its
     little-endian deviation bytes, so -0.0 and NaN show), the trial at
     which its running maximum deviation last rose, and its first failing
-    trial with the generator seed that regenerates it."""
+    trial with the generator seed that regenerates it, drawn from the
+    suite's registry index."""
     import hashlib
     import struct
 
     from .rng import derive_seed
+    from .verify import SUITES
 
-    def record(index, s):
+    index_of = {name: index for index, name, _, _ in SUITES}
+
+    def record(s):
         devs = [dev for _, dev in s.outcomes]
         fails = [t for t, (ok, _) in enumerate(s.outcomes) if not ok]
         digest = hashlib.sha256(b"".join(struct.pack("<?d", ok, dev) for ok, dev in s.outcomes))
@@ -299,12 +303,12 @@ def _verify_payload(seed: int, trials: int, suites, code: int) -> dict:
             "passed": s.passed,
             "digest": digest.hexdigest()[:16],
             "argmax_trial": devs.index(s.max_dev) if s.max_dev > 0.0 else None,
-            "first_failure": {"trial": fails[0], "derive_seed": derive_seed(seed, index, fails[0])}
+            "first_failure": {"trial": fails[0], "derive_seed": derive_seed(seed, index_of[s.name], fails[0])}
             if fails else None,
         }
 
     results = {
-        "suites": {s.name: record(index, s) for index, s in enumerate(suites)},
+        "suites": {s.name: record(s) for s in suites},
         "passed": code == EXIT_OK,
     }
     deviations = {s.name: s.max_dev for s in suites}

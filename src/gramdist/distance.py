@@ -190,9 +190,9 @@ def distance_qr(a, b) -> DistanceResult:
 
 def _minor_logdets(a) -> tuple[np.ndarray, list[LogDet]]:
     """A validated as an (n+1) x n matrix, and the determinants of its n+1
-    row-deleted minors, each by LU as :func:`~gramdist.linalg.det_lu`
-    computes it, stacked into one (n+1, n, n) slogdet call; an exactly
-    singular minor is the exact zero."""
+    row-deleted minors, each by LU with partial pivoting, stacked into one
+    (n+1, n, n) slogdet call; an exactly singular minor is the exact
+    zero."""
     mat = _array(a, 2)
     m, n = mat.shape
     if m != n + 1:

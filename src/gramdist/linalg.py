@@ -20,10 +20,11 @@ and a printed number would then depend on the BLAS thread count.  Where
 squares would leave the double range, every rescaling goes through
 :func:`_scaled`, an exact division by powers of two.
 
-:func:`_normal_solution` solves the normal equations of the projection
-route and of the regression.  The two triangles of its Cholesky solve are
-solved by block substitution, O(n^2) for an n x n system, where an LU of
-each would be O(n^3).
+:func:`_cholesky_solve` is the one Cholesky solve, behind the public
+:func:`solve_hermitian_psd` and behind :func:`_normal_solution`, which
+solves the normal equations of the projection route and of the
+regression.  Its two triangles are solved by block substitution, O(n^2)
+for an n x n system, where an LU of each would be O(n^3).
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ class LogDet:
         """The determinant itself; raises OverflowError when it does not fit."""
         return self.phase * self.magnitude()
 
-    def conjugate(self) -> "LogDet":
-        return LogDet(self.phase.conjugate(), self.log_mag)
-
-    def __mul__(self, other: "LogDet") -> "LogDet":
-        if self.is_zero or other.is_zero:
-            return LogDet.zero()
-        return LogDet(self.phase * other.phase, self.log_mag + other.log_mag)
-
 
 def _gram(a: np.ndarray) -> np.ndarray:
     """The Gram matrix A* A of an m x n array, by one symmetric rank-k
@@ -175,17 +168,6 @@ def _gram(a: np.ndarray) -> np.ndarray:
     out.real = g[0::2, 0::2] + g[1::2, 1::2]
     out.imag = g[0::2, 1::2] - g[1::2, 0::2]
     return out
-
-
-def det_lu(m) -> LogDet:
-    """Determinant by LU with partial pivoting (LAPACK getrf), in log form.
-
-    An exactly singular factor gives the exact zero determinant.
-    """
-    a = _array(m, 2)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"determinant needs a square matrix, got {a.shape}")
-    return _logdet(*np.linalg.slogdet(a))
 
 
 def _logdet(sign, log_mag) -> LogDet:
@@ -216,12 +198,19 @@ def solve_hermitian_psd(h, rhs) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}"
         )
+    return _cholesky_solve(hm, b)
+
+
+def _cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cholesky solve of :func:`solve_hermitian_psd` on an n x n H and
+    a length-n b that the caller has validated: the factor, the pivot
+    test, and the two triangle solves."""
     try:
-        low = np.linalg.cholesky(hm)
+        low = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.abs(low.diagonal()) ** 2
-    taus = n * EPS * hm.diagonal().real
+    taus = h.shape[0] * EPS * h.diagonal().real
     refused = pivots <= taus
     if np.count_nonzero(refused):
         j = int(refused.argmax())
@@ -237,17 +226,18 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray,
     """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
 
     A* A is formed by :func:`_gram`, one symmetric rank-k update, and A* b
-    as conj(b* A), so A itself is never conjugated or copied.  A failed
-    factorization is reported as :class:`RankDeficient`, and an entry of
-    A* A or A* b that overflows as :class:`OverflowError`, whose message
-    names the operand by its entry in operands, in the caller's terms.
+    as conj(b* A), so A itself is never conjugated or copied.  An entry of
+    A* A or A* b that overflows raises :class:`OverflowError`, whose
+    message names the operand by its entry in operands, in the caller's
+    terms; past that check both go to :func:`_cholesky_solve` as they are,
+    and a failed factorization is reported as :class:`RankDeficient`.
     """
     gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
     for value, name in zip((gram, rhs), operands):
         if not _finite(value):
             raise OverflowError(f"{name} does not fit a double")
     try:
-        return solve_hermitian_psd(gram, rhs)
+        return _cholesky_solve(gram, rhs)
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
 

@@ -24,3 +24,28 @@ def mp_distance(a, b) -> float:
         gram = aug.H * aug
         ratio = mpmath.det(gram) / mpmath.det(gram[0:n, 0:n])
         return float(mpmath.sqrt(mpmath.re(ratio)))
+
+
+def mp_gram_logdet(a) -> float:
+    """log det(A* A), the Gram product and its determinant evaluated at 60
+    digits."""
+    with mpmath.workdps(DIGITS):
+        mat = mpmath.matrix(np.asarray(a).tolist())
+        return float(mpmath.log(mpmath.re(mpmath.det(mat.H * mat))))
+
+
+def mp_regression(x, y) -> tuple[float, float, np.ndarray]:
+    """(loss, rho, coefficients) of the least-squares fit of y on (1|X) for
+    a real X, at 60 digits: the residual norm, the multiple correlation
+    sqrt(1 - loss^2 / ||y - mean(y)||^2), and the coefficients, intercept
+    first, from the normal equations of (1|X)."""
+    m = np.shape(x)[0]
+    with mpmath.workdps(DIGITS):
+        design = mpmath.matrix(np.column_stack([np.ones(m), x]).tolist())
+        target = mpmath.matrix(np.asarray(y).tolist())
+        coefs = mpmath.lu_solve(design.T * design, design.T * target)
+        loss = mpmath.norm(design * coefs - target)
+        mean = mpmath.fsum(target) / m
+        spread = mpmath.norm(target - mpmath.matrix([mean] * m))
+        rho = mpmath.sqrt(1 - (loss / spread) ** 2)
+        return float(loss), float(rho), np.array([float(c) for c in coefs])

@@ -30,7 +30,6 @@ PUBLIC = [
     "centered_rank",
     "derive_seed",
     "design_rank",
-    "det_lu",
     "distance_det",
     "distance_projection",
     "distance_qr",

@@ -421,13 +421,13 @@ class TestVerify:
     def test_impossible_tolerance_fails_with_4(self, capsys, monkeypatch):
         import gramdist.verify
 
-        suites = [(name, fn, 1e-30 if name == "distance_product_identity" else tol)
-                  for name, fn, tol in gramdist.verify.SUITES]
+        suites = [(index, name, fn, 1e-30 if name == "distance_product_identity" else tol)
+                  for index, name, fn, tol in gramdist.verify.SUITES]
         monkeypatch.setattr(gramdist.verify, "SUITES", tuple(suites))
         code, out = run(capsys, ["verify", "--trials", "5"])
         assert code == 4
         assert "distance_product_identity: FAIL" in out
-        assert "result: FAIL suites=10 failed=1" in out
+        assert "result: FAIL suites=9 failed=1" in out
 
     def test_json_schema(self, capsys):
         code, out = run(capsys, ["verify", "--trials", "5", "--format", "json"])
@@ -446,13 +446,13 @@ class TestVerify:
         import gramdist.verify
         from gramdist.rng import SplitMix64
 
-        suites = tuple((name, fn, 1e-30 if name == "distance_agreement" else tol)
-                       for name, fn, tol in gramdist.verify.SUITES)
+        suites = tuple((index, name, fn, 1e-30 if name == "distance_agreement" else tol)
+                       for index, name, fn, tol in gramdist.verify.SUITES)
         monkeypatch.setattr(gramdist.verify, "SUITES", suites)
         code, out = run(capsys, ["verify", "--seed", "3", "--trials", "6", "--format", "json"])
         assert code == 4
         records = json.loads(out)["results"]["suites"]
-        for (name, fn, tol), s in zip(suites, gramdist.verify.run_all(seed=3, trials=6)):
+        for (_, name, fn, tol), s in zip(suites, gramdist.verify.run_all(seed=3, trials=6)):
             rec = records[name]
             data = b"".join(bytes([ok]) + np.array(dev, "<f8").tobytes() for ok, dev in s.outcomes)
             assert rec["digest"] == hashlib.sha256(data).hexdigest()[:16]
@@ -465,6 +465,26 @@ class TestVerify:
             assert [ok for ok, _ in s.outcomes].index(False) == t
             replay = fn(SplitMix64(rec["first_failure"]["derive_seed"]), t, tol)
             assert replay == s.outcomes[t]
+
+    def test_first_failure_past_the_retired_index_replays(self, capsys, monkeypatch):
+        # qr_gram sits at position 8 of the registry but draws from index 9,
+        # past the retired 7: the recorded seed must be the one its trial
+        # drew from, and replaying it alone must give the recorded outcome
+        import gramdist.verify
+        from gramdist.rng import SplitMix64, derive_seed
+
+        suites = tuple((index, name, fn, 1e-30 if name == "qr_gram" else tol)
+                       for index, name, fn, tol in gramdist.verify.SUITES)
+        monkeypatch.setattr(gramdist.verify, "SUITES", suites)
+        code, out = run(capsys, ["verify", "--seed", "5", "--trials", "6", "--format", "json"])
+        assert code == 4
+        rec = json.loads(out)["results"]["suites"]["qr_gram"]
+        t = rec["first_failure"]["trial"]
+        assert rec["first_failure"]["derive_seed"] == derive_seed(5, 9, t)
+        _, _, fn, tol = next(entry for entry in suites if entry[1] == "qr_gram")
+        s = gramdist.verify.run_suite("qr_gram", seed=5, trials=6)
+        assert fn(SplitMix64(rec["first_failure"]["derive_seed"]), t, tol) == s.outcomes[t]
+        assert not s.outcomes[t][0]
 
 
 class TestUsageErrors:

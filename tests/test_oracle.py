@@ -1,19 +1,22 @@
-"""Accuracy of the distance routes against a 60-digit oracle.
+"""Accuracy of the distance routes and of the regression report against
+a 60-digit oracle.
 
 On graded spectra with condition number kappa the distance has relative
 condition number of order kappa, so a backward-stable route is within a
 small multiple of kappa * eps of the exact distance of the stored input.
 The projection route solves the normal equations, whose Gram matrix has
 condition number kappa^2, so its bound is a small multiple of
-kappa^2 * eps.
+kappa^2 * eps.  The regression's loss value and correlation are read off
+one QR factor, and its coefficients come from a Cholesky solve of the
+centered normal equations, so the same two bounds apply to them.
 """
 
 import numpy as np
 import pytest
 
-from gramdist import distance_det, distance_projection, distance_qr
+from gramdist import Dataset, distance_det, distance_projection, distance_qr, gram_logdets, regression_report
 from gramdist.linalg import EPS
-from mp_oracle import mp_distance
+from mp_oracle import mp_distance, mp_gram_logdet, mp_regression
 
 
 def graded(rng, m, n, kappa, complex_input):
@@ -55,3 +58,22 @@ def test_projection_within_ten_kappa_squared_eps(k, complex_input):
         exact = mp_distance(a, b)
         err = abs(distance_projection(a, b).value - exact) / exact
         assert err <= 10.0 * kappa**2 * EPS
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_regression_report_on_graded_offset_data(k):
+    # X is a graded 60 x 4 matrix offset by 3, so (1|X) is worse
+    # conditioned than the centered Xc the report factors
+    kappa = 10.0**k
+    rng = np.random.default_rng([127, k])
+    for _ in range(5):
+        a, b = graded(rng, 60, 4, kappa, False)
+        x = a + 3.0
+        y = b + x @ rng.standard_normal(4)
+        loss, rho, coefs = mp_regression(x, y)
+        rep = regression_report(Dataset(x, y))
+        assert abs(rep.loss_value - loss) <= 10.0 * kappa * EPS * loss
+        assert abs(rep.correlation - rho) <= 10.0 * kappa * EPS * rho
+        assert np.linalg.norm(rep.coefficients - coefs) <= 10.0 * kappa**2 * EPS * np.linalg.norm(coefs)
+        ld_a, _ = gram_logdets(x, y)
+        assert abs(ld_a.log_mag - mp_gram_logdet(x)) <= 10.0 * x.shape[1] * kappa * EPS

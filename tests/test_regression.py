@@ -427,9 +427,9 @@ class TestRegressionReport:
 
         for name in ("householder_qr", "design_rank"):
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
-        monkeypatch.setattr(lin, "solve_hermitian_psd", counted("solve_hermitian_psd", lin.solve_hermitian_psd))
+        monkeypatch.setattr(lin, "_cholesky_solve", counted("_cholesky_solve", lin._cholesky_solve))
         regression_report(line_fixture)
-        assert sorted(calls) == ["householder_qr", "solve_hermitian_psd"]
+        assert sorted(calls) == ["_cholesky_solve", "householder_qr"]
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
         # the factorization decides no rank; the report, centered_rank and

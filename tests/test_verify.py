@@ -11,8 +11,8 @@ import gramdist.linalg
 import gramdist.qr
 import gramdist.regression
 from gramdist.cli import main
-from gramdist.rng import SplitMix64
-from gramdist.verify import SUITE_NAMES, run_all, run_suite
+from gramdist.rng import SplitMix64, derive_seed
+from gramdist.verify import SUITE_NAMES, SUITES, run_all, run_suite
 
 
 def trial_bytes(seed=1, trials=20):
@@ -90,15 +90,30 @@ class TestRunner:
     def test_tolerance_override_applies(self, monkeypatch):
         import gramdist.verify as ver
 
-        suites = [(name, fn, 1e-30 if name == "distance_agreement" else tol)
-                  for name, fn, tol in ver.SUITES]
+        suites = [(index, name, fn, 1e-30 if name == "distance_agreement" else tol)
+                  for index, name, fn, tol in ver.SUITES]
         monkeypatch.setattr(ver, "SUITES", tuple(suites))
         s = run_suite("distance_agreement", seed=3, trials=5)
         assert s.tolerance == 1e-30
         assert not s.passed
 
     def test_registry_names_are_unique(self):
-        assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 10
+        assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 9
+
+    def test_registry_indices_are_fixed_and_never_reused(self):
+        index_of = {name: index for index, name, _, _ in SUITES}
+        assert len(set(index_of.values())) == len(SUITES)
+        # 7 was det_identities, retired: its stream is never drawn again
+        assert 7 not in index_of.values()
+        assert (index_of["psd_solve"], index_of["qr_gram"]) == (8, 9)
+
+    def test_trial_t_draws_from_the_registry_index(self):
+        # trial t of a suite is its check on the stream derive_seed(seed,
+        # index, t), index the suite's own registry entry, not its position
+        seed, trials = 11, 4
+        for index, name, fn, tol in SUITES:
+            replay = tuple(fn(SplitMix64(derive_seed(seed, index, t)), t, tol) for t in range(trials))
+            assert run_suite(name, seed=seed, trials=trials).outcomes == replay, name
 
     def test_regression_suites_factor_once_per_route(self, monkeypatch):
         # per trial: the report's factor of (Xc|yc) is the one QR, which
@@ -116,15 +131,14 @@ class TestRunner:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"),
-                          (lin, "solve_hermitian_psd"), (ver, "solve_hermitian_psd")):
+        for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"), (lin, "_cholesky_solve")):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         k = 6
         for suite, qrs, solves in (("loss_value_equivalence", k, k), ("correlation_equivalence", k, k), ("rank_relation", 0, 0)):
             calls.clear()
             run_suite(suite, trials=k)
             assert calls.count("householder_qr") == qrs, suite
-            assert calls.count("solve_hermitian_psd") == solves, suite
+            assert calls.count("_cholesky_solve") == solves, suite
 
     def test_batched_draws_leave_the_suites_unchanged(self, monkeypatch):
         # the same suites with the array draws taken one scalar at a time
