@@ -13,19 +13,13 @@ from .errors import (
     DimensionMismatch,
     EmptyFile,
     GramDistError,
-    NotPositiveDefinite,
-    NotSquare,
     ParseError,
     RaggedRows,
     RankDeficient,
     ShapeError,
     ZeroVariance,
 )
-from .linalg import (
-    EPS,
-    LogDet,
-    solve_hermitian_psd,
-)
+from .linalg import EPS, LogDet
 from .qr import gram_logdet, householder_qr
 from .distance import (
     DistanceResult,
@@ -56,8 +50,6 @@ __all__ = [
     "EmptyFile",
     "GramDistError",
     "LogDet",
-    "NotPositiveDefinite",
-    "NotSquare",
     "ParseError",
     "RaggedRows",
     "RankDeficient",
@@ -82,7 +74,6 @@ __all__ = [
     "regression_report",
     "run_all",
     "run_suite",
-    "solve_hermitian_psd",
 ]
 
 # public names resolved on first access (PEP 562), by the module defining them

@@ -151,12 +151,10 @@ def _cmd_dist(args) -> int:
         code = EXIT_RANK
     try:
         values["distance_projection"] = distance_projection(a, b).value
-    except RankDeficient:
-        values["distance_projection"] = None
-        code = EXIT_RANK
-    except OverflowError:
-        # A* A leaves the double range before the distance does; the two
-        # factor routes still answer, and nothing is wrong with the input
+    except (RankDeficient, OverflowError):
+        # this route alone fails where A* A or A* b leaves the double range
+        # or a Cholesky pivot of A* A fails (a column scaled by 2^600 or
+        # 2^-600): the exit code is the determinant route's rank decision
         values["distance_projection"] = None
     try:
         values["distance_qr"] = distance_qr(a, b).value

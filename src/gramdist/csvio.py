@@ -142,7 +142,9 @@ def parse_csv(path, mode: str = "real") -> CsvTable:
     """
     if mode not in ("real", "complex"):
         raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stay
+    # in the first header label
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EmptyFile(f"{path}: no header line")

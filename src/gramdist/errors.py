@@ -13,19 +13,13 @@ class DimensionMismatch(ShapeError):
     """Two operands have incompatible dimensions."""
 
 
-class NotSquare(ShapeError):
-    """A square matrix was required."""
-
-
-class NotPositiveDefinite(GramDistError):
-    """A Cholesky pivot fell to or below the positivity tolerance.
-
-    For Gram matrices this signals a rank-deficient factor upstream.
-    """
-
-
 class RankDeficient(GramDistError):
-    """The operation requires full column rank and the input does not have it."""
+    """The operation requires full column rank and the input does not have it.
+
+    The rank rule raises it, and so does the Cholesky solve of the normal
+    equations when a pivot of the Gram matrix falls to or below its
+    tolerance.
+    """
 
 
 class ZeroVariance(GramDistError):

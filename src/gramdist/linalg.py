@@ -1,6 +1,6 @@
 """Dense matrix arithmetic: validated arrays, determinants kept in log
-form, and hermitian positive-definite solves with the normal equations
-built on them, all on LAPACK, plus the one exact power-of-two scaling.
+form, and the normal equations solved by Cholesky, all on LAPACK, plus
+the one exact power-of-two scaling.
 
 Operands are validated without a copy: every routine here and in the
 modules built on it only reads its input, and each factorization works on
@@ -20,11 +20,10 @@ and a printed number would then depend on the BLAS thread count.  Where
 squares would leave the double range, every rescaling goes through
 :func:`_scaled`, an exact division by powers of two.
 
-:func:`_cholesky_solve` is the one Cholesky solve, behind the public
-:func:`solve_hermitian_psd` and behind :func:`_normal_solution`, which
-solves the normal equations of the projection route and of the
-regression.  Its two triangles are solved by block substitution, O(n^2)
-for an n x n system, where an LU of each would be O(n^3).
+:func:`_normal_solution` is the one Cholesky solve: the normal equations
+of the projection route and of the regression.  Its two triangles are
+solved by block substitution, O(n^2) for an n x n system, where an LU of
+each would be O(n^3).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSquare, RankDeficient, ShapeError
+from .errors import RankDeficient, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -178,49 +177,6 @@ def _logdet(sign, log_mag) -> LogDet:
     return LogDet(complex(sign), float(log_mag))
 
 
-def solve_hermitian_psd(h, rhs) -> np.ndarray:
-    """Solve H x = rhs for hermitian positive definite H by Cholesky.
-
-    Pivot j, |l_jj|^2, is the part of h_jj that the earlier columns leave
-    (a Schur complement), so the pivot tolerance is dim * eps * h_jj, its
-    own diagonal: the test is the same for H and for D H D with D a
-    positive diagonal, so a widely scaled but well conditioned H passes.
-    A pivot at or below its tolerance, or a factorization that fails
-    outright, raises :class:`NotPositiveDefinite`.  Real inputs give a
-    real solution.
-    """
-    hm = _array(h, 2)
-    b = _array(rhs, 1)
-    n = hm.shape[0]
-    if hm.shape[1] != n:
-        raise NotSquare(f"expected a square matrix, got {hm.shape}")
-    if b.shape[0] != n:
-        raise DimensionMismatch(
-            f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}"
-        )
-    return _cholesky_solve(hm, b)
-
-
-def _cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Cholesky solve of :func:`solve_hermitian_psd` on an n x n H and
-    a length-n b that the caller has validated: the factor, the pivot
-    test, and the two triangle solves."""
-    try:
-        low = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    pivots = np.abs(low.diagonal()) ** 2
-    taus = h.shape[0] * EPS * h.diagonal().real
-    refused = pivots <= taus
-    if np.count_nonzero(refused):
-        j = int(refused.argmax())
-        raise NotPositiveDefinite(
-            f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {float(taus[j])!r}"
-        )
-    y = _solve_triangular(low, b, lower=True)
-    return _frozen(_solve_triangular(low.conj().T, y, lower=False))
-
-
 def _normal_solution(mat: np.ndarray, vec: np.ndarray,
                      operands: tuple[str, str] = ("Gram matrix of A", "A* b")) -> np.ndarray:
     """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
@@ -229,17 +185,34 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray,
     as conj(b* A), so A itself is never conjugated or copied.  An entry of
     A* A or A* b that overflows raises :class:`OverflowError`, whose
     message names the operand by its entry in operands, in the caller's
-    terms; past that check both go to :func:`_cholesky_solve` as they are,
-    and a failed factorization is reported as :class:`RankDeficient`.
+    terms; past that check both go to LAPACK as they are.
+
+    Pivot j, |l_jj|^2, is the part of h_jj that the earlier columns leave
+    (a Schur complement) in H = A* A, so the pivot tolerance is
+    n * eps * h_jj, its own diagonal: the test is the same for A and for
+    A D with D a positive diagonal, so widely scaled but independent
+    columns pass.  A pivot at or below its tolerance, or a factorization
+    that fails outright, raises :class:`RankDeficient`.  Real inputs give
+    a real solution.
     """
     gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
     for value, name in zip((gram, rhs), operands):
         if not _finite(value):
             raise OverflowError(f"{name} does not fit a double")
     try:
-        return _cholesky_solve(gram, rhs)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(str(exc)) from exc
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"Cholesky factorization failed: {exc}") from exc
+    pivots = np.abs(low.diagonal()) ** 2
+    taus = gram.shape[0] * EPS * gram.diagonal().real
+    refused = pivots <= taus
+    if np.count_nonzero(refused):
+        j = int(refused.argmax())
+        raise RankDeficient(
+            f"pivot {float(pivots[j])!r} at column {j} is at or below tolerance {float(taus[j])!r}"
+        )
+    y = _solve_triangular(low, rhs, lower=True)
+    return _frozen(_solve_triangular(low.conj().T, y, lower=False))
 
 
 # The largest diagonal block solved whole: systems up to this size go to

@@ -16,8 +16,6 @@ PUBLIC = [
     "EmptyFile",
     "GramDistError",
     "LogDet",
-    "NotPositiveDefinite",
-    "NotSquare",
     "ParseError",
     "RaggedRows",
     "RankDeficient",
@@ -42,7 +40,6 @@ PUBLIC = [
     "regression_report",
     "run_all",
     "run_suite",
-    "solve_hermitian_psd",
 ]
 
 

@@ -175,6 +175,26 @@ class TestDist:
         det, qr = float(line_value(out, "distance_det")), float(line_value(out, "distance_qr"))
         assert 1e160 < qr < 1e162 and abs(det - qr) <= 1e-11 * qr
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_extreme_column_scale_exits_with_the_rank_decision(self, capsys, tmp_path, exponent):
+        # one column of a full-rank 30x5 A scaled by 2^-600 or 2^600: A* A
+        # underflows or overflows in that column, so the projection route
+        # is undefined either way, while the rank rule counts full rank and
+        # the determinant and qr routes answer with the unscaled distance
+        rng = np.random.default_rng(2024)
+        a, b = rng.standard_normal((30, 5)), rng.standard_normal(30)
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        ref = float(np.linalg.norm(b - a @ x))
+        a[:, 2] *= 2.0 ** exponent
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+        ma = write(tmp_path, "a.csv", ",".join(f"c{j}" for j in range(5)) + "\n" + rows)
+        vb = write(tmp_path, "b.csv", "v\n" + "".join(f"{v!r}\n" for v in b.tolist()))
+        code, out = run(capsys, ["dist", "--matrix", ma, "--vector", vb])
+        assert code == 0
+        assert line_value(out, "distance_projection") == "undefined"
+        for key in ("distance_det", "distance_qr"):
+            assert abs(float(line_value(out, key)) - ref) <= 1e-12 * ref, key
+
     def test_small_regressor_keeps_the_determinant_route(self, capsys, tmp_path):
         # (Xc, yc) of a 40x4 regression whose first regressor is multiplied
         # by 1e-14: the column is no dependence, so the determinant route
@@ -388,6 +408,13 @@ class TestRegress:
         assert captured.out == ""
         assert captured.err.startswith("gramdist: error:")
 
+    def test_byte_order_mark_leaves_the_table_unchanged(self, capsys, tmp_path):
+        text = "y,x\n1,1\n2,2\n2,3\n3,4\n"
+        plain = run(capsys, ["regress", "--data", write(tmp_path, "plain.csv", text), "--target", "y"])
+        marked = run(capsys, ["regress", "--data", write(tmp_path, "bom.csv", "\ufeff" + text), "--target", "y"])
+        assert plain[0] == marked[0] == 0
+        assert marked[1].splitlines()[1:] == plain[1].splitlines()[1:]
+
     def test_unknown_target(self, capsys, regress_file):
         code, _ = run(capsys, ["regress", "--data", regress_file, "--target", "zzz"])
         assert code == 1
@@ -427,7 +454,21 @@ class TestVerify:
         code, out = run(capsys, ["verify", "--trials", "5"])
         assert code == 4
         assert "distance_product_identity: FAIL" in out
-        assert "result: FAIL suites=9 failed=1" in out
+        assert "result: FAIL suites=8 failed=1" in out
+
+    def test_retired_suites_leave_the_output(self, capsys):
+        # det_identities and psd_solve were retired: no text line, no JSON
+        # key, and the summary counts the eight suites left
+        _, text = run(capsys, ["verify", "--seed", "1", "--trials", "3"])
+        _, out = run(capsys, ["verify", "--seed", "1", "--trials", "3", "--format", "json"])
+        doc = json.loads(out)
+        lines = text.splitlines()
+        assert lines[-2] == "result: PASS suites=8 failed=0"
+        assert [line.split(":", 1)[0] for line in lines[1:-2]] == list(gramdist.SUITE_NAMES)
+        for retired in ("det_identities", "psd_solve"):
+            assert f"{retired}:" not in text
+            assert retired not in doc["results"]["suites"] and retired not in doc["deviations"]
+        assert list(doc["results"]["suites"]) == list(doc["deviations"]) == list(gramdist.SUITE_NAMES)
 
     def test_json_schema(self, capsys):
         code, out = run(capsys, ["verify", "--trials", "5", "--format", "json"])
@@ -467,8 +508,8 @@ class TestVerify:
             assert replay == s.outcomes[t]
 
     def test_first_failure_past_the_retired_index_replays(self, capsys, monkeypatch):
-        # qr_gram sits at position 8 of the registry but draws from index 9,
-        # past the retired 7: the recorded seed must be the one its trial
+        # qr_gram sits at position 7 of the registry but draws from index 9,
+        # past the retired 7 and 8: the recorded seed must be the one its trial
         # drew from, and replaying it alone must give the recorded outcome
         import gramdist.verify
         from gramdist.rng import SplitMix64, derive_seed

@@ -52,6 +52,14 @@ class TestBasics:
             parse_csv(write(tmp_path, "x,y\n1,zap\n"))
         assert err.value.line == 2 and err.value.column == 2
 
+    @pytest.mark.parametrize("mode, body", [("real", "1,2\n3.5,-4\n"), ("complex", "1,2i\n3-1i,-4\n")])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, mode, body):
+        plain = parse_csv(write(tmp_path, "y,x\n" + body, "plain.csv"), mode)
+        marked = parse_csv(write(tmp_path, "\ufeffy,x\n" + body, "bom.csv"), mode)
+        assert marked.header == plain.header == ("y", "x")
+        assert marked.data.dtype == plain.data.dtype
+        np.testing.assert_array_equal(marked.data, plain.data)
+
 
 class TestRealCells:
     @pytest.mark.parametrize("cell,value", [

@@ -1,5 +1,5 @@
-"""Matrix core: validation, LU determinants in log form, and the hermitian
-positive-definite solve.
+"""Matrix core: validation, LU determinants in log form, and the Cholesky
+solve of the normal equations.
 
 The oracle lives at the top and stays independent of the code paths it
 checks: a recursive cofactor determinant.
@@ -10,16 +10,15 @@ import math
 import numpy as np
 import pytest
 
+import gramdist.linalg as lin
 from gramdist import (
-    DimensionMismatch,
     LogDet,
-    NotPositiveDefinite,
-    NotSquare,
+    RankDeficient,
     ShapeError,
+    distance_qr,
     householder_qr,
-    solve_hermitian_psd,
 )
-from gramdist.linalg import EPS, _array, _column_norms, _gram, _logdet, _scaled, _solve_triangular
+from gramdist.linalg import EPS, _array, _column_norms, _gram, _logdet, _normal_solution, _scaled, _solve_triangular
 from gramdist.qr import _certifies_full_rank, _divided, _rank
 
 
@@ -39,15 +38,15 @@ def det_cofactor(a):
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            solve_hermitian_psd([[1.0, float("nan")], [0.0, 1.0]], [1.0, 1.0])
+            householder_qr([[1.0, float("nan")], [0.0, 1.0]])
 
     def test_rejects_inf_vector(self):
         with pytest.raises(ValueError):
-            solve_hermitian_psd(np.eye(2), [1.0, float("inf")])
+            distance_qr([[1.0], [0.0], [0.0]], [1.0, float("inf"), 0.0])
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ShapeError):
-            solve_hermitian_psd(np.eye(2), [[1.0], [2.0]])
+            distance_qr([[1.0], [0.0], [0.0]], [[1.0], [2.0], [3.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
@@ -213,70 +212,76 @@ class TestDetLu:
 
 
 class TestSolveHermitianPsd:
+    """The hermitian positive-definite solve, as the package runs it: the
+    normal equations (A* A) x = A* b of an A built for each case, by
+    ``_normal_solution``."""
+
     def test_identity_system(self):
-        x = solve_hermitian_psd(np.eye(3), [0.0, 1.0, 0.0])
+        x = _normal_solution(np.eye(3), np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(x, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_diagonal_system(self):
-        x = solve_hermitian_psd([[2.0, 0.0], [0.0, 5.0]], [2.0, 10.0])
+        # A* A = diag(2, 5) and A* b = (2, 10)
+        a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+        x = _normal_solution(a, np.array([1.0, 1.0, 4.0, 2.0]))
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-14)
 
     def test_regression_fixture_gram(self):
-        # centered Gram of x = (1,2,3,4): [[5]], rhs = centered cross term 3
-        x = solve_hermitian_psd([[5.0]], [3.0])
+        # the centered x = (1, 2, 3, 4) and y = (1, 2, 2, 3): Gram [[5]],
+        # cross term 3
+        xc = np.array([[-1.5], [-0.5], [0.5], [1.5]])
+        x = _normal_solution(xc, np.array([-1.0, 0.0, 0.0, 1.0]), ("Xc* Xc", "Xc* yc"))
         np.testing.assert_allclose(x, [0.6], atol=1e-15)
 
     def test_rank_deficient_gram_rejected(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite):
-            solve_hermitian_psd(a.T @ a, [1.0, 1.0])
+        with pytest.raises(RankDeficient, match="at column 1 "):
+            _normal_solution(a, np.ones(2))
 
     def test_pivot_at_tolerance_rejected(self):
-        # two nearly dependent columns: the factorization succeeds, but the
-        # second pivot, eps * h_11, is below dim * eps * h_11, also with
-        # the second column scaled by 1e10; two orthogonal columns on
-        # scales 1e20 apart are no dependence and solve exactly
-        c = 1.0 - 2.0 ** -53
+        # two nearly dependent columns, the Gram [[1, c], [c, 1]] exactly:
+        # the factorization succeeds, but the second pivot, eps * h_11, is
+        # below dim * eps * h_11, also with the second column scaled by
+        # 1e10 (the Gram D H D); two orthogonal columns on scales 2^33
+        # apart are no dependence and solve exactly
+        c, t = 1.0 - 2.0 ** -53, 2.0 ** -26
         for d in (1.0, 1e10):
-            with pytest.raises(NotPositiveDefinite, match="at column 1 "):
-                solve_hermitian_psd([[1.0, c * d], [c * d, d * d]], [1.0, 1.0])
-        x = solve_hermitian_psd([[1.0, 0.0], [0.0, 1e-20]], [1.0, 1.0])
-        assert x.tolist() == [1.0, 1e20]
-
-    def test_not_square_and_mismatch(self):
-        with pytest.raises(NotSquare):
-            solve_hermitian_psd(np.ones((2, 3)), [1.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            solve_hermitian_psd(np.eye(2), [1.0, 1.0, 1.0])
+            a = np.array([[1.0, c * d], [0.0, t * d]])
+            with pytest.raises(RankDeficient, match="at column 1 "):
+                _normal_solution(a, np.ones(2))
+        x = _normal_solution(np.diag([1.0, 2.0 ** -33]), np.array([1.0, 2.0 ** 33]))
+        assert x.tolist() == [1.0, 2.0 ** 66]
 
     def test_float_input_reaches_lapack_uncopied(self, monkeypatch):
         # LAPACK copies its operands itself, so the Cholesky factorization
-        # gets the float64 or complex128 H and the first solve gets rhs
+        # gets the float64 or complex128 Gram as _gram formed it
         rng = np.random.default_rng(73)
-        cholesky, solve = np.linalg.cholesky, np.linalg.solve
-        seen = []
+        cholesky, gram = np.linalg.cholesky, lin._gram
+        formed, seen = [], []
+        monkeypatch.setattr(lin, "_gram", lambda a: formed.append(gram(a)) or formed[-1])
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(a) or cholesky(a))
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(b) or solve(a, b))
-        real, imag = rng.standard_normal((2, 4, 4))
-        for g in (real, real + 1j * imag):
-            h = g.conj().T @ g + np.eye(4)
-            rhs = g[0].copy()
-            solve_hermitian_psd(h, rhs)
-            assert seen[0] is h and seen[1] is rhs
+        real, imag = rng.standard_normal((2, 8, 4))
+        for a in (real, real + 1j * imag):
+            _normal_solution(a, a[:, 0].copy())
+            assert len(seen) == len(formed) == 1 and seen[0] is formed[0]
+            formed.clear()
             seen.clear()
 
     def test_real_inputs_give_real_solution(self):
-        x = solve_hermitian_psd([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0])
+        a = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        x = _normal_solution(a, np.array([1.0, 2.0, 0.5]))
         assert x.dtype == np.float64
 
     def test_residual_on_random_shifted_grams(self):
+        # A = (G; I) has the Gram G* G + I
         rng = np.random.default_rng(29)
         for _ in range(20):
             k = rng.integers(1, 11)
             g = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-            h = g.conj().T @ g + np.eye(k)
-            rhs = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
-            x = solve_hermitian_psd(h, rhs)
+            a = np.vstack((g, np.eye(k)))
+            b = rng.uniform(-1, 1, 2 * k) + 1j * rng.uniform(-1, 1, 2 * k)
+            h, rhs = g.conj().T @ g + np.eye(k), a.conj().T @ b
+            x = _normal_solution(a, b)
             assert np.linalg.norm(h @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_gram_matrices_hermitian_psd(self):
@@ -284,8 +289,8 @@ class TestSolveHermitianPsd:
         for _ in range(20):
             k = rng.integers(1, 8)
             g = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-            gram = g.conj().T @ g
-            assert np.max(np.abs(gram - gram.conj().T)) <= 1e-14
+            gram = _gram(g)
+            np.testing.assert_array_equal(gram, gram.conj().T)
             x = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
             assert np.vdot(x, gram @ x).real >= -1e-12
 

@@ -414,7 +414,6 @@ class TestRegressionReport:
 
     def test_each_step_runs_once(self, line_fixture, monkeypatch):
         # one factorization of (Xc|yc), which also decides the rank, one solve
-        import gramdist.linalg as lin
         import gramdist.regression as reg
 
         calls = []
@@ -427,9 +426,9 @@ class TestRegressionReport:
 
         for name in ("householder_qr", "design_rank"):
             monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
-        monkeypatch.setattr(lin, "_cholesky_solve", counted("_cholesky_solve", lin._cholesky_solve))
+        monkeypatch.setattr(reg, "_normal_solution", counted("_normal_solution", reg._normal_solution))
         regression_report(line_fixture)
-        assert sorted(calls) == ["_cholesky_solve", "householder_qr"]
+        assert sorted(calls) == ["_normal_solution", "householder_qr"]
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
         # the factorization decides no rank; the report, centered_rank and

@@ -83,6 +83,10 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_suite("nonexistent", trials=3)
 
+    def test_retired_suite_is_unknown(self):
+        with pytest.raises(ValueError, match="^unknown suite 'psd_solve'; known: "):
+            run_suite("psd_solve", trials=3)
+
     def test_nonpositive_trials_rejected(self):
         with pytest.raises(ValueError):
             run_suite(SUITE_NAMES[0], trials=0)
@@ -98,14 +102,15 @@ class TestRunner:
         assert not s.passed
 
     def test_registry_names_are_unique(self):
-        assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 9
+        assert len(set(SUITE_NAMES)) == len(SUITE_NAMES) == 8
 
     def test_registry_indices_are_fixed_and_never_reused(self):
         index_of = {name: index for index, name, _, _ in SUITES}
         assert len(set(index_of.values())) == len(SUITES)
-        # 7 was det_identities, retired: its stream is never drawn again
-        assert 7 not in index_of.values()
-        assert (index_of["psd_solve"], index_of["qr_gram"]) == (8, 9)
+        # 7 was det_identities and 8 psd_solve, both retired: their
+        # streams are never drawn again
+        assert sorted(index_of.values()) == [0, 1, 2, 3, 4, 5, 6, 9]
+        assert index_of["qr_gram"] == 9
 
     def test_trial_t_draws_from_the_registry_index(self):
         # trial t of a suite is its check on the stream derive_seed(seed,
@@ -119,7 +124,6 @@ class TestRunner:
         # per trial: the report's factor of (Xc|yc) is the one QR, which
         # also accepts the draw, and its Cholesky the one solve; the rank
         # suite counts on (1|X) and Xc themselves and factors nothing
-        import gramdist.linalg as lin
         import gramdist.regression as reg
         import gramdist.verify as ver
 
@@ -131,14 +135,14 @@ class TestRunner:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"), (lin, "_cholesky_solve")):
+        for mod, name in ((reg, "householder_qr"), (ver, "householder_qr"), (reg, "_normal_solution")):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         k = 6
         for suite, qrs, solves in (("loss_value_equivalence", k, k), ("correlation_equivalence", k, k), ("rank_relation", 0, 0)):
             calls.clear()
             run_suite(suite, trials=k)
             assert calls.count("householder_qr") == qrs, suite
-            assert calls.count("_cholesky_solve") == solves, suite
+            assert calls.count("_normal_solution") == solves, suite
 
     def test_batched_draws_leave_the_suites_unchanged(self, monkeypatch):
         # the same suites with the array draws taken one scalar at a time
