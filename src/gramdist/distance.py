@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _column_norms, _frozen, _logdet, _normal_solution
+from .linalg import LogDet, _array, _column_norms, _frozen, _normal_solution
 from .qr import _logdet_at_rank, _outside_rank, _rank_of_r, _stacked, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
@@ -188,11 +188,13 @@ def distance_qr(a, b) -> DistanceResult:
     return DistanceResult(value, "qr_coordinate")
 
 
-def _minor_logdets(a) -> tuple[np.ndarray, list[LogDet]]:
-    """A validated as an (n+1) x n matrix, and the determinants of its n+1
-    row-deleted minors, each by LU with partial pivoting, stacked into one
-    (n+1, n, n) slogdet call; an exactly singular minor is the exact
-    zero."""
+def _minor_logdets(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A validated as an (n+1) x n matrix, and the signs and log magnitudes
+    of the determinants of its n+1 row-deleted minors, each by LU with
+    partial pivoting, stacked into one (n+1, n, n) slogdet call.  An
+    exactly singular minor has sign 0 and log -inf.  An LU that overflows
+    raises OverflowError, and numpy's warnings about it are off: that
+    check handles it."""
     mat = _array(a, 2)
     m, n = mat.shape
     if m != n + 1:
@@ -200,7 +202,11 @@ def _minor_logdets(a) -> tuple[np.ndarray, list[LogDet]]:
     rows = np.arange(m)
     # row i of kept lists every row index but i
     kept = np.broadcast_to(rows, (m, m))[rows[:, None] != rows].reshape(m, n)
-    return mat, [_logdet(*pair) for pair in zip(*np.linalg.slogdet(mat[kept]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        signs, logs = np.linalg.slogdet(mat[kept])
+    if not (logs < math.inf).all():
+        raise OverflowError("the LU factorization of a row-deleted minor overflowed")
+    return mat, signs, logs
 
 
 def orthogonal_minor_vector(a) -> np.ndarray:
@@ -225,33 +231,38 @@ def minor_sum(a) -> float:
     not poison the intermediate terms.  Only the final result must fit a
     double; one that does not raises OverflowError.
     """
-    return _minor_sum(_minor_logdets(a)[1])
+    return _minor_sum(_minor_logdets(a)[2])
 
 
 def _minor_identity(a) -> tuple[float, np.ndarray]:
     """:func:`minor_sum` and :func:`orthogonal_minor_vector` of a, from one
     set of row-deleted minors.  The sum is formed first, so an overflow
     raises the error that minor_sum alone would."""
-    mat, minors = _minor_logdets(a)
-    return _minor_sum(minors), _minor_vector(mat, minors)
+    mat, signs, logs = _minor_logdets(a)
+    return _minor_sum(logs), _minor_vector(mat, signs, logs)
 
 
-def _minor_vector(mat: np.ndarray, minors: list[LogDet]) -> np.ndarray:
+def _minor_vector(mat: np.ndarray, signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     n = mat.shape[1]
-    signs = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(n + 1)])
-    vals = np.array([ld.value() for ld in minors], np.complex128)
-    out = signs * np.conj(vals)
+    alternating = np.array([1.0 if (n + i) % 2 == 0 else -1.0 for i in range(n + 1)])
+    try:
+        # each minor is its unit sign times exp(log), the zero minor 0
+        minors = np.array([s / abs(s) * math.exp(lg) if s else 0j
+                           for s, lg in zip(signs.tolist(), logs.tolist())], np.complex128)
+    except OverflowError:
+        raise OverflowError("the determinant does not fit a double") from None
+    out = alternating * np.conj(minors)
     if not np.iscomplexobj(mat):
         out = out.real
     return _frozen(out)
 
 
-def _minor_sum(minors: list[LogDet]) -> float:
-    logs = [2.0 * ld.log_mag for ld in minors if not ld.is_zero]
-    if not logs:
+def _minor_sum(logs: np.ndarray) -> float:
+    squares = [2.0 * lg for lg in logs.tolist() if lg != -math.inf]
+    if not squares:
         return 0.0
-    shift = max(logs)
+    shift = max(squares)
     try:
-        return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in logs)))
+        return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in squares)))
     except OverflowError:
         raise OverflowError("the sum of squared minors does not fit a double") from None

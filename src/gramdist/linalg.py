@@ -1,5 +1,5 @@
-"""Dense matrix arithmetic: validated arrays, determinants kept in log
-form, and the normal equations solved by Cholesky, all on LAPACK, plus
+"""Dense matrix arithmetic: validated arrays, Gram determinants kept in
+log form, and the normal equations solved by Cholesky, all on LAPACK, plus
 the one exact power-of-two scaling.
 
 Operands are validated without a copy: every routine here and in the
@@ -36,8 +36,6 @@ import numpy as np
 from .errors import RankDeficient, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
-
-_PHASE_TOL = 1e-9
 
 
 # The dtypes that _array passes on as they are.
@@ -100,52 +98,38 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LogDet:
-    """A determinant stored as a unit phase and the log of its magnitude.
+    """A Gram determinant det(A* A), stored as its log.
 
-    The zero determinant is the pair (phase 0, log_mag -inf).  Keeping
-    determinants in this form makes ratios of badly scaled Gram determinants
-    a subtraction in the exponent instead of an overflow.
+    A Gram determinant is real and nonnegative, so its log is the whole
+    record; the exact zero is log_mag -inf.  Keeping determinants in this
+    form makes ratios of badly scaled Gram determinants a subtraction in
+    the exponent instead of an overflow.
     """
 
-    phase: complex
     log_mag: float
 
     def __post_init__(self):
-        phase = complex(self.phase)
         log_mag = float(self.log_mag)
         if math.isnan(log_mag) or log_mag == math.inf:
             raise ValueError("log_mag must be finite or -inf")
-        if log_mag == -math.inf:
-            if phase != 0:
-                raise ValueError("the zero determinant must carry phase 0")
-        else:
-            mag = abs(phase)
-            if abs(mag - 1.0) > _PHASE_TOL:
-                raise ValueError(f"phase must have unit modulus, got |phase|={mag!r}")
-            phase = phase / mag
-        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "log_mag", log_mag)
 
     @classmethod
     def zero(cls) -> "LogDet":
-        return cls(0j, -math.inf)
+        return cls(-math.inf)
 
     @property
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf
 
     def magnitude(self) -> float:
-        """|det| as a plain double; raises OverflowError when it does not fit."""
+        """det(A* A) as a plain double; raises OverflowError when it does not fit."""
         if self.is_zero:
             return 0.0
         try:
             return math.exp(self.log_mag)
         except OverflowError:
             raise OverflowError("the determinant does not fit a double") from None
-
-    def value(self) -> complex:
-        """The determinant itself; raises OverflowError when it does not fit."""
-        return self.phase * self.magnitude()
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -169,14 +153,6 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logdet(sign, log_mag) -> LogDet:
-    """One determinant of ``np.linalg.slogdet`` as a LogDet; an exactly
-    singular one (sign 0) is the exact zero."""
-    if sign == 0:
-        return LogDet.zero()
-    return LogDet(complex(sign), float(log_mag))
-
-
 def _normal_solution(mat: np.ndarray, vec: np.ndarray,
                      operands: tuple[str, str] = ("Gram matrix of A", "A* b")) -> np.ndarray:
     """The solution x of the normal equations (A* A) x = A* b, by Cholesky.
@@ -185,7 +161,9 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray,
     as conj(b* A), so A itself is never conjugated or copied.  An entry of
     A* A or A* b that overflows raises :class:`OverflowError`, whose
     message names the operand by its entry in operands, in the caller's
-    terms; past that check both go to LAPACK as they are.
+    terms; that check handles the overflow, so both are formed with
+    numpy's overflow and invalid-value warnings off, and past it both go
+    to LAPACK as they are.
 
     Pivot j, |l_jj|^2, is the part of h_jj that the earlier columns leave
     (a Schur complement) in H = A* A, so the pivot tolerance is
@@ -195,7 +173,8 @@ def _normal_solution(mat: np.ndarray, vec: np.ndarray,
     that fails outright, raises :class:`RankDeficient`.  Real inputs give
     a real solution.
     """
-    gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, rhs = _gram(mat), (vec.conj() @ mat).conj()
     for value, name in zip((gram, rhs), operands):
         if not _finite(value):
             raise OverflowError(f"{name} does not fit a double")

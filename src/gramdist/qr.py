@@ -339,4 +339,4 @@ def _logdet_at_rank(r: np.ndarray, rank: int) -> LogDet:
     if rank < r.shape[1]:
         return LogDet.zero()
     d = np.abs(r.diagonal())
-    return LogDet(1.0 + 0.0j, 2.0 * float(np.log(d).sum()))
+    return LogDet(2.0 * float(np.log(d).sum()))

@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -727,3 +728,24 @@ class TestBlasThreads:
                     for n in ("1", "2")]
             assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2, argv[0]
             assert runs[0].stdout == runs[1].stdout, argv
+
+    def test_real_rank_deficient_factor_does_not_depend_on_the_thread_count(self):
+        # dgeqrf's factor of a real (A|b) with dependent columns, and the
+        # distance_qr read off it, are the same bytes at 1 and 2 threads;
+        # a complex factor of this size is not (zgeqrf)
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from gramdist import distance_qr, householder_qr
+            for seed in range(12):
+                rng = np.random.default_rng(seed)
+                a = rng.standard_normal((300, 60))
+                a[:, -1] = 1.7 * a[:, 0]
+                b = rng.standard_normal(300)
+                r = householder_qr(np.column_stack([a, b]))
+                print(seed, hashlib.sha256(r.tobytes()).hexdigest(), repr(distance_qr(a, b).value))
+        """)
+        runs = [python("-c", script, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n) for n in ("1", "2")]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+        assert len(runs[0].stdout.splitlines()) == 12
+        assert runs[0].stdout == runs[1].stdout

@@ -26,6 +26,7 @@ from gramdist import (
     orthogonal_minor_vector,
     regression_report,
 )
+from gramdist.distance import _minor_identity
 from gramdist.verify import SUITES
 
 SQRT2 = math.sqrt(2.0)
@@ -290,6 +291,20 @@ class TestDistanceProperties:
             nb = np.linalg.norm(b)
             for fn in (distance_det, distance_projection, distance_qr):
                 assert fn(a, b).value <= nb * (1 + 1e-12)
+            # the factor route keeps the bound at both ends of the range
+            for scale in (1e300, 1e-300):
+                assert distance_qr(scale * a, scale * b).value <= scale * nb * (1 + 1e-12)
+
+    @pytest.mark.parametrize("fn", [distance_qr, pytest.param(distance_det, marks=pytest.mark.xfail(
+        strict=True, reason="distance_det rounds relative to its log magnitudes, "
+        "about 8300 at 1e300, and exceeds the bound by 1.3e-12 (ROADMAP item 13)"))])
+    def test_bounded_by_norm_at_1e300(self, fn):
+        # b is orthogonal to A's columns, so the distance is ||b||
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+        q = np.linalg.qr(a, mode="complete")[0]
+        b = q[:, 5:] @ (rng.standard_normal(25) + 1j * rng.standard_normal(25))
+        assert fn(1e300 * a, 1e300 * b).value <= 1e300 * np.linalg.norm(b) * (1 + 1e-12)
 
     def test_hadamard_style_bound_on_results(self):
         # det((A|b)*(A|b)) <= det(A*A) ||b||^2, and each route's distance
@@ -567,6 +582,14 @@ class TestScaledInputs:
         assert abs(qr - ref) <= 1e-13 * ref
         assert abs(det - ref) <= 1e-11 * ref
 
+    def test_handled_overflow_does_not_warn(self):
+        # the projection route's finiteness check handles an A* A that
+        # overflows: filterwarnings = error turns any warning into a failure
+        rng = np.random.default_rng(1)
+        a, b = random_complex(rng, 40, 6), random_cvec(rng, 40)
+        with pytest.raises(OverflowError, match=r"^Gram matrix of A does not fit a double$"):
+            distance_projection(1e160 * a, 1e160 * b)
+
     def test_overflowing_rhs_is_named(self):
         # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
         # it: the error names A* b, not the Gram matrix
@@ -713,6 +736,66 @@ class TestOrthogonalMinorVector:
         a[3, :] = 1.0
         with pytest.raises(OverflowError, match="^the determinant does not fit a double$"):
             orthogonal_minor_vector(a)
+        # the sum is formed first, so the pair names the sum of squares
+        with pytest.raises(OverflowError, match="^the sum of squared minors does not fit a double$"):
+            _minor_identity(a)
+
+
+def reference_minor_identity(a):
+    """minor_sum and orthogonal_minor_vector of an (n+1) x n a, written out
+    one minor at a time: each row-deleted minor by its own slogdet call,
+    its value the unit sign/|sign| times exp(log) (0 for sign 0), and the
+    sum of squares as an exactly rounded sum shifted by the largest log."""
+    a = np.asarray(a)
+    n = a.shape[1]
+    values, logs = [], []
+    for i in range(n + 1):
+        sign, log = np.linalg.slogdet(np.delete(a, i, axis=0))
+        sign = complex(sign)
+        values.append(sign / abs(sign) * math.exp(log) if sign else 0j)
+        if sign:
+            logs.append(2.0 * float(log))
+    alternating = np.array([(-1.0) ** (n + i) for i in range(n + 1)])
+    vec = alternating * np.conj(np.array(values, np.complex128))
+    if not np.iscomplexobj(a):
+        vec = vec.real
+    if not logs:
+        return 0.0, vec
+    shift = max(logs)
+    return math.exp(shift + math.log(math.fsum(math.exp(lg - shift) for lg in logs))), vec
+
+
+class TestMinorBytes:
+    """The stacked slogdet and the per-entry arithmetic of the minors give,
+    bit for bit, the minors taken one at a time."""
+
+    CASES = [
+        *((f"real{n}", np.random.default_rng(n).uniform(-1, 1, (n + 1, n)) * 10.0 ** (n - 4))
+          for n in range(1, 9)),
+        *((f"complex{n}", random_complex(np.random.default_rng(100 + n), n + 1, n) * 10.0 ** (4 - n))
+          for n in range(1, 9)),
+        ("zero_minor", np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])),
+        ("zero_minor_complex", np.array([[1j, 0.0], [0.0, 0.0], [0.0, 1.0 - 1j]])),
+        ("all_zero", np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])),
+    ]
+
+    @pytest.mark.parametrize("label, a", CASES, ids=[label for label, _ in CASES])
+    def test_same_bytes_as_one_minor_at_a_time(self, label, a):
+        s, vec = reference_minor_identity(a)
+        got = orthogonal_minor_vector(a)
+        assert got.dtype == vec.dtype and got.tobytes() == vec.tobytes()
+        assert np.float64(minor_sum(a)).tobytes() == np.float64(s).tobytes()
+        s2, vec2 = _minor_identity(a)
+        assert (np.float64(s2).tobytes(), vec2.tobytes()) == (np.float64(s).tobytes(), vec.tobytes())
+
+    def test_overflowing_lu_is_an_overflow(self):
+        # the LU of the first two rows overflows (1e308 + 1e308): no minor
+        # is read off an infinite log, no sum comes back as a nan, and
+        # with filterwarnings = error no warning escapes the handled case
+        a = np.array([[1e308, 1e308], [-1e308, 1e308], [1.0, 2.0]])
+        for fn in (minor_sum, orthogonal_minor_vector, _minor_identity):
+            with pytest.raises(OverflowError, match="^the LU factorization of a row-deleted minor overflowed$"):
+                fn(a)
 
 
 class TestMinorSum:
@@ -750,6 +833,8 @@ class TestMinorSum:
         a = np.array([[1.0e160, 0.0], [0.0, 1.0e160], [0.0, 0.0]])
         with pytest.raises(OverflowError, match="^the sum of squared minors does not fit a double$"):
             minor_sum(a)
+        with pytest.raises(OverflowError, match="^the determinant does not fit a double$"):
+            orthogonal_minor_vector(a)
 
     def test_wrong_shape(self):
         with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
-"""Matrix core: validation, LU determinants in log form, and the Cholesky
-solve of the normal equations.
+"""Matrix core: validation, Gram determinants in log form, the LU
+determinants behind the row-deleted minors, and the Cholesky solve of the
+normal equations.
 
 The oracle lives at the top and stays independent of the code paths it
 checks: a recursive cofactor determinant.
@@ -17,8 +18,10 @@ from gramdist import (
     ShapeError,
     distance_qr,
     householder_qr,
+    minor_sum,
+    orthogonal_minor_vector,
 )
-from gramdist.linalg import EPS, _array, _column_norms, _gram, _logdet, _normal_solution, _scaled, _solve_triangular
+from gramdist.linalg import EPS, _array, _column_norms, _gram, _normal_solution, _scaled, _solve_triangular
 from gramdist.qr import _certifies_full_rank, _divided, _rank
 
 
@@ -163,52 +166,57 @@ class TestNormHelpers:
 
 
 class TestLogDet:
-    def test_zero_is_phase_zero_log_minus_inf(self):
+    def test_zero_is_log_minus_inf(self):
         z = LogDet.zero()
-        assert z.is_zero and z.phase == 0 and z.log_mag == -math.inf
-        assert z.value() == 0
+        assert z.is_zero and z.log_mag == -math.inf
+        assert z.magnitude() == 0.0
 
-    def test_nonzero_needs_unit_phase(self):
-        with pytest.raises(ValueError):
-            LogDet(0.5 + 0j, 1.0)
-        with pytest.raises(ValueError):
-            LogDet(0j, 1.0)
+    def test_log_mag_must_be_finite_or_minus_inf(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^log_mag must be finite or -inf$"):
+                LogDet(bad)
+        assert LogDet(0.0).magnitude() == 1.0 and not LogDet(-800.0).is_zero
 
     def test_value_overflow(self):
-        big = LogDet(1.0 + 0j, 800.0)
         with pytest.raises(OverflowError, match="^the determinant does not fit a double$"):
-            big.value()
-        with pytest.raises(OverflowError, match="^the determinant does not fit a double$"):
-            big.magnitude()
+            LogDet(800.0).magnitude()
 
 
-def slogdet(m) -> LogDet:
-    """The LU determinant of m in log form, as the qr_gram suite takes it."""
-    return _logdet(*np.linalg.slogdet(np.asarray(m)))
+def with_zero_row(square) -> np.ndarray:
+    """square with a zero row below it: its one nonsingular row-deleted
+    minor is square itself, and orthogonal_minor_vector's last entry is
+    conj(det(square))."""
+    square = np.asarray(square)
+    return np.vstack([square, np.zeros((1, square.shape[1]), square.dtype)])
 
 
 class TestDetLu:
-    """LU determinants (np.linalg.slogdet) as LogDets, by ``_logdet``."""
+    """LU determinants (np.linalg.slogdet) with their signs, read through
+    the row-deleted minors of ``orthogonal_minor_vector``."""
 
     def test_identity(self):
-        ld = slogdet(np.eye(4))
-        assert abs(ld.phase - 1) < 1e-15 and ld.log_mag == 0.0
+        b = orthogonal_minor_vector(with_zero_row(np.eye(4)))
+        assert b.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert minor_sum(with_zero_row(np.eye(4))) == 1.0
 
     def test_row_swap_sign(self):
-        ld = slogdet([[0.0, 1.0], [1.0, 0.0]])
-        assert abs(ld.phase + 1) < 1e-15 and ld.log_mag == 0.0
+        assert orthogonal_minor_vector(with_zero_row([[0.0, 1.0], [1.0, 0.0]])).tolist() == [0.0, 0.0, -1.0]
+        # det [[0, 1], [1j, 0]] = -1j, a unit phase, and the entry is its conjugate
+        assert orthogonal_minor_vector(with_zero_row([[0.0, 1.0], [1j, 0.0]]))[2] == 1j
 
     def test_exact_zero_column(self):
-        ld = slogdet([[0.0, 1.0], [0.0, 2.0]])
-        assert ld.is_zero
+        a = [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
+        assert orthogonal_minor_vector(a).tolist() == [0.0, 0.0, 0.0]
+        assert minor_sum(a) == 0.0
 
     def test_against_cofactor_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            m = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-            expected = det_cofactor(m)
-            got = slogdet(m).value()
-            assert abs(got - expected) <= 1e-12 * abs(expected)
+            a = rng.uniform(-1, 1, (5, 4)) + 1j * rng.uniform(-1, 1, (5, 4))
+            got = orthogonal_minor_vector(a)
+            for i in range(5):
+                expected = (-1) ** (4 + i) * np.conj(det_cofactor(np.delete(a, i, axis=0)))
+                assert abs(got[i] - expected) <= 1e-12 * abs(expected)
 
 
 class TestSolveHermitianPsd:

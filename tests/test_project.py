@@ -2,6 +2,7 @@
 each numerical step, and what a failing property test prints."""
 
 import ast
+import dataclasses
 import inspect
 import subprocess
 import sys
@@ -85,6 +86,13 @@ class TestLayering:
     def test_the_old_rank_rules_are_gone(self):
         gone = {"_rank_tolerance", "_equilibrated_rank", "_centered_rank_of_r"}
         assert {p.stem for p in PACKAGE.glob("*.py") if names_in(p.stem) & gone} == set()
+
+    def test_the_phase_record_is_gone(self):
+        # a Gram determinant is real and nonnegative: LogDet is its log,
+        # and the minors read slogdet's sign and log as they come
+        gone = {"_logdet", "_PHASE_TOL", "phase"}
+        assert {p.stem for p in PACKAGE.glob("*.py") if names_in(p.stem) & gone} == set()
+        assert [f.name for f in dataclasses.fields(gramdist.LogDet)] == ["log_mag"]
 
     def test_power_of_two_scaling_is_only_in_linalg(self):
         owned = {"frexp", "ldexp"}

@@ -25,6 +25,7 @@ from gramdist import (
     distance_qr,
     gram_logdet,
     householder_qr,
+    orthogonal_minor_vector,
     regression_report,
 )
 from gramdist.linalg import EPS, _column_norms, _scaled
@@ -689,7 +690,12 @@ class TestTriangularCertificate:
 class TestGramLogDet:
     def test_identity(self):
         ld = gram_logdet(householder_qr(np.eye(3)), 3)
-        assert ld.log_mag == 0.0 and abs(ld.phase - 1) < 1e-15
+        assert ld.log_mag == 0.0 and ld.magnitude() == 1.0
+        # with a zero row appended, I is the one nonsingular row-deleted
+        # minor, and its LU determinant keeps the sign +1
+        a = np.vstack([np.eye(3), np.zeros((1, 3))])
+        assert orthogonal_minor_vector(a).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert gram_logdet(householder_qr(a), 4) == ld
 
     def test_single_column_by_hand(self):
         # Gram of the column (1, 1) is the 1x1 matrix [2]
