@@ -15,9 +15,9 @@ here, by the one rule of :func:`_rank`: the singular values above
 rows * eps of a matrix, or of its triangular factor, with column j
 divided by ||x_j||.  Full rank is settled by the first certificate that
 proves it, on the undivided matrix, then on the divided one.  Each tries,
-on a triangular factor of more than _TRIANGULAR_FIRST columns, an O(n^2)
-back substitution on its comparison matrix (:func:`_certifies_triangular`),
-then an O(n^3) shifted Cholesky of its Gram matrix
+on a triangular factor, an O(n^2) back substitution on its comparison
+matrix (:func:`_certifies_triangular`), in Python floats up to _BLOCK
+columns, then an O(n^3) shifted Cholesky of its Gram matrix
 (:func:`_certifies_full_rank`), which alone bounds a general matrix.  An
 SVD runs only when they fail.  Column norms come from
 ``linalg._column_norms``, the one norm rule of the package, and
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from operator import mul
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -39,11 +40,6 @@ from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _finite, _frozen
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
-
-# Factors of more columns than this try the comparison-matrix certificate
-# first.  Up to _BLOCK columns its solve is one np.linalg.solve, whose
-# per-call cost exceeds the whole Cholesky certificate on such a factor.
-_TRIANGULAR_FIRST = _BLOCK
 
 # A full-rank certificate: True only if sigma_min(a) >= 2 * tol.
 _Certificate = Callable[[np.ndarray, float], bool]
@@ -143,18 +139,21 @@ def _norm_bound(big: float, rows: int) -> float:
 
 def _certified(r: np.ndarray, tol: float) -> bool:
     """True only if sigma_min(r) >= 2 * tol for a square triangular factor
-    r, by the certificates in their one order, cheapest first: above
-    _TRIANGULAR_FIRST columns :func:`_certifies_triangular`, then
+    r, by the certificates in their one order: the O(n^2)
+    :func:`_certifies_triangular`, then the O(n^3)
     :func:`_certifies_full_rank`."""
-    return ((r.shape[1] > _TRIANGULAR_FIRST and _certifies_triangular(r, tol))
-            or _certifies_full_rank(r, tol))
+    return _certifies_triangular(r, tol) or _certifies_full_rank(r, tol)
 
 
 def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
     """True only if sigma_min(r) >= 2 * tol, for a square upper triangular
     r, zero below its diagonal as a factor of :func:`householder_qr` is.
     A diagonal entry that is zero, or whose modulus overflows, is never
-    certified.
+    certified.  :func:`_certified` tries it first on every triangular
+    factor.  Up to _BLOCK columns its substitution is a loop in Python
+    floats, which up to about 8 columns, where nearly all of the verify
+    suites' factors lie, costs less than the numpy calls of
+    :func:`_certifies_full_rank`.
 
     The proof is a bound through the comparison matrix M = M(r), which has
     |r_ii| on its diagonal and -|r_ij| above it.  M is an M-matrix, so
@@ -177,37 +176,68 @@ def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
       diagonal is refused, as it would give x^_i = 0.  Otherwise
       M^-1 = sum_(k<n) (D^-1 U)^k D^-1 for M = D - U, so the exact inverse
       of the computed M is at least M^-1 / (1 + 2u)^(2n) entrywise;
-    * the substitution: M x = e is solved by ``linalg._solve_triangular``,
-      whose diagonal blocks reach LAPACK's LU with partial pivoting.  On a
-      triangular M that LU is exact (no row is swapped, every multiplier is
-      0), so each x_i is the sum 1 + sum_(j>i) |r_ij| x_j, divided by
-      |r_ii|, in some order.  Every term is nonnegative, so nothing
-      cancels: a sum of k nonnegative terms carries a relative error of at
-      most gamma_k, and the product, the division (or the product by a
-      computed reciprocal) a few u more.  By induction from x_n up,
-      x^ >= x (1 - gamma_(n+4))^n;
+    * the substitution: M x = e is solved from x_n up.  Up to _BLOCK
+      columns that is a loop in Python floats over ``r.tolist()``, each
+      x_i the sum 1 + sum_(j>i) |r_ij| x_j divided by |r_ii|.  Above, it
+      is ``linalg._solve_triangular``, whose diagonal blocks reach
+      LAPACK's LU with partial pivoting; on a triangular M that LU is exact
+      (no row is swapped, every multiplier is 0), so it forms the same
+      quotients with the sums in some order.  Every term is nonnegative,
+      so nothing cancels: a sum of k nonnegative terms carries a relative
+      error of at most gamma_k, and the product, the division (or the
+      product by a computed reciprocal) a few u more.  By induction from
+      x_n up, x^ >= x (1 - gamma_(n+4))^n;
     * underflow: the numerator of x_i is at least 1, so underflowed
       products shift it by at most n eta, eta the smallest subnormal, and
       x_i >= 1 / |r_ii| >= 2^-1024 is rounded to within 2^-50 relative.
 
     Together x^ >= x / 2 whenever n (n + 8) u < 1/2, that is for every n
     below 6 * 10^7, far beyond any matrix that fits in memory.  Nothing is
-    claimed when the LU meets a zero pivot, nor when x^ holds an inf or a
-    nan: the solve runs with overflow and invalid operations ignored, and
-    a nan or inf maximum fails the test.
+    claimed when a diagonal modulus is zero or infinite, when the modulus
+    of a complex entry overflows (Python's ``abs`` raises OverflowError),
+    nor when x^ holds an inf or a nan: the loop tests each x_i itself, and
+    the LU runs with overflow and invalid operations ignored, its nan or
+    inf maximum failing the test.
     """
     n = r.shape[1]
-    cmp = np.negative(np.abs(r), order="C")
-    diag = cmp.reshape(-1)[:: n + 1]
-    diag *= -1.0
-    if diag.max() == math.inf:
-        return False
+    if n <= _BLOCK:
+        top = _substituted_max(r.tolist())
+    else:
+        cmp = np.negative(np.abs(r), order="C")
+        diag = cmp.reshape(-1)[:: n + 1]
+        diag *= -1.0
+        if diag.max() == math.inf:
+            return False
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _solve_triangular(cmp, np.ones(n), lower=False)
+        except np.linalg.LinAlgError:  # a zero on the diagonal
+            return False
+        top = float(x.max())
+    return 4.0 * tol * math.sqrt(n) * top <= 1.0
+
+
+def _substituted_max(rows: list) -> float:
+    """max(x) for M x = e, M the comparison matrix of the upper triangular
+    matrix whose rows are given as lists, by back substitution in Python
+    floats; inf, which certifies nothing, where a diagonal modulus is zero
+    or infinite, a complex modulus overflows, or some x_i is not finite.
+    Each x_i is tested as it is formed, so no nan reaches ``max``, which
+    skips one that is not first."""
+    xs = []  # x_(n-1), x_(n-2), ... down to the row below the one in hand
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _solve_triangular(cmp, np.ones(n), lower=False)
-    except np.linalg.LinAlgError:  # a zero on the diagonal
-        return False
-    return 4.0 * tol * math.sqrt(n) * float(x.max()) <= 1.0
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
+            d = abs(row[i])
+            if not 0.0 < d < math.inf:
+                return math.inf
+            xi = sum(map(mul, map(abs, row[:i:-1]), xs), 1.0) / d
+            if not xi < math.inf:
+                return math.inf
+            xs.append(xi)
+    except OverflowError:
+        return math.inf
+    return max(xs)
 
 
 def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:

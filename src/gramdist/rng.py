@@ -24,10 +24,16 @@ refills it from the current counter, and a longer draw is computed on its
 own.  The scalar draws and the rewind of ``complex_vector`` move the block
 position with the counter.  The array draws return exactly what the scalar
 draws would and leave the counter where those would, so instances do not
-depend on which methods drew them.
+depend on which methods drew them.  A verify suite takes its trials'
+generators from :func:`_streams`, which computes their first blocks in one
+array pass per chunk of _CHUNK trials: the blocks their own first draws
+would compute.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -44,6 +50,10 @@ _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31)
 # The uniforms a generator computes ahead of its counter in one pass, and
 # the counter steps to them: gamma, 2 gamma, ..., _BLOCK_SIZE gamma.
 _BLOCK_SIZE = 512
+
+# The generators whose first blocks :func:`_streams` computes in one pass:
+# 64 blocks of 512 uniforms are 256 KiB.
+_CHUNK = 64
 
 
 def _steps(k: int) -> np.ndarray:
@@ -72,9 +82,10 @@ def derive_seed(seed: int, *path: int) -> int:
     return state
 
 
-def _unit(state: int, steps: np.ndarray) -> np.ndarray:
+def _unit(state: int | np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The uniforms on [-1, 1] at the counters state + steps, in one array
-    pass: the top 53 bits of mix64 of each."""
+    pass: the top 53 bits of mix64 of each.  A column of states gives one
+    row per state."""
     z = steps + np.uint64(state)
     z ^= z >> _SHIFT30
     z *= _MIX1_U64
@@ -172,3 +183,22 @@ class SplitMix64:
             j = self.randint(0, i)
             p[i], p[j] = p[j], p[i]
         return p
+
+
+def _streams(seeds: Iterable[int]) -> Iterator[SplitMix64]:
+    """SplitMix64(seed) for each seed in turn, lazily, with the blocks of
+    each chunk of _CHUNK generators computed in one :func:`_unit` pass.
+
+    Each generator gets _block = the uniforms after its counter and
+    _pos = 0, the state a fresh generator's first array draw of at most
+    _BLOCK_SIZE values reaches before it reads the block.  Scalar draws
+    and longer draws move _pos with the counter, so the block stays the
+    one after the seed, and each generator equals SplitMix64(seed) draw
+    for draw."""
+    seeds = iter(seeds)
+    while chunk := [SplitMix64(seed) for seed in islice(seeds, _CHUNK)]:
+        counters = np.array([g._state for g in chunk], np.uint64)
+        for g, block in zip(chunk, _unit(counters[:, None], _BLOCK_STEPS)):
+            g._block = block
+            g._pos = 0
+            yield g

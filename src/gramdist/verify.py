@@ -29,7 +29,7 @@ from .distance import _minor_identity, distance_det, distance_projection, distan
 from .errors import RankDeficient
 from .qr import _logdet_at_rank, _rank, _rank_of_r, _stacked, gram_logdet, householder_qr
 from .regression import Dataset, RegressionReport, centered_rank, design_rank, loss_value_residual, regression_report
-from .rng import SplitMix64, derive_seed, mix64
+from .rng import SplitMix64, _streams, derive_seed, mix64
 
 TINY = sys.float_info.min
 
@@ -271,7 +271,8 @@ SUITE_NAMES = tuple(name for _, name, _, _ in SUITES)
 
 def run_suite(name: str, seed: int = 42, trials: int = 500) -> SuiteResult:
     """Run one named suite at its registry tolerance; trial t draws from
-    derive_seed(seed, index, t), with the suite's registry index."""
+    SplitMix64(derive_seed(seed, index, t)), with the suite's registry
+    index, its first block computed with its chunk's by ``rng._streams``."""
     if trials <= 0:
         raise ValueError("trials must be a positive integer")
     for index, suite_name, fn, tol in SUITES:
@@ -281,7 +282,8 @@ def run_suite(name: str, seed: int = 42, trials: int = 500) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     # derive_seed(seed, index, t), with the prefix for (seed, index) folded once
     prefix = derive_seed(seed, index)
-    runs = (fn(SplitMix64(mix64(prefix ^ mix64(t))), t, tol) for t in range(trials))
+    streams = _streams(mix64(prefix ^ mix64(t)) for t in range(trials))
+    runs = (fn(rng, t, tol) for t, rng in enumerate(streams))
     return SuiteResult(name, tol, tuple((bool(ok), float(dev)) for ok, dev in runs))
 
 

@@ -9,6 +9,7 @@ of each column against the ones before it, without touching the QR code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gramdist import (
     orthogonal_minor_vector,
     regression_report,
 )
-from gramdist.linalg import EPS, _column_norms, _scaled
+from gramdist.linalg import EPS, _column_norms, _scaled, _solve_triangular
 from gramdist.qr import (
     _BLOCK,
     _SQUARES_FIT,
@@ -39,6 +40,7 @@ from gramdist.qr import (
     _norm_bound,
     _rank,
     _rank_of_r,
+    _substituted_max,
 )
 
 
@@ -667,7 +669,9 @@ class TestTriangularCertificate:
         # the factors of the distance routes on a wide problem, and small
         # ones at the extremes of the double range
         rng = np.random.default_rng(109)
-        for m, n in ((1000, 201), (1000, 200), (12, 12), (40, 8)):
+        # (40, 32) and (40, 33) take the scalar substitution and the LU on
+        # either side of _BLOCK
+        for m, n in ((1000, 201), (1000, 200), (40, 33), (40, 32), (12, 12), (40, 8)):
             r = householder_qr(random_complex(rng, m, n))
             for scale in (1.0, 2.0**500, 2.0**-500):
                 assert _certifies_triangular(r * scale, rank_tolerance(r * scale, m))
@@ -685,6 +689,46 @@ class TestTriangularCertificate:
         # a diagonal entry whose modulus overflows would read as x_i = 0
         r = np.array([[1.5e308 + 1.5e308j, 1.0], [0.0, 1.0]])
         assert not _certifies_triangular(r, 0.1)
+        assert not _certifies_triangular(np.array([[math.inf, 1.0], [0.0, 1.0]]), 0.1)
+
+    def test_overflowing_complex_modulus_claims_nothing(self):
+        # Python's abs of the off-diagonal entry raises OverflowError, which
+        # claims nothing and warns of nothing
+        for n in (2, _BLOCK):
+            r = np.eye(n, dtype=complex)
+            r[0, n - 1] = 1.5e308 + 1.5e308j
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not _certifies_triangular(r, 0.1)
+                assert not _certifies_triangular(r, 0.0)
+
+    def test_non_finite_entry_after_the_first_claims_nothing(self):
+        # x_2 = 1 comes first; the subnormal r_11 makes x_1 = inf, and
+        # r_01 = 0 would make x_0 = (1 + 0 * inf + 1) / 1 a nan.  A nan
+        # entry makes x = (nan, 1), whose max would skip the nan and read 1.
+        overflowing = [[1.0, 0.0, 1.0], [0.0, 5e-324, 1.0], [0.0, 0.0, 1.0]]
+        for rows in (overflowing, [[1.0, math.nan], [0.0, 1.0]]):
+            for dtype in (float, complex):
+                r = np.array(rows, dtype)
+                assert _substituted_max(r.tolist()) == math.inf
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for tol in (0.1, 1e-300, 0.0):
+                        assert not _certifies_triangular(r, tol)
+
+    def test_scalar_substitution_matches_the_lu(self):
+        # up to _BLOCK columns the loop forms the quotients the LU forms
+        # above it, up to the order of each nonnegative sum
+        rng = np.random.default_rng(113)
+        for n in (1, 2, 5, 12, _BLOCK):
+            for complex_input in (False, True):
+                g = random_complex(rng, n + 3, n) if complex_input else rng.standard_normal((n + 3, n))
+                r = householder_qr(g)
+                cmp = -np.abs(r)
+                np.fill_diagonal(cmp, np.abs(r.diagonal()))
+                x = _solve_triangular(cmp, np.ones(n), lower=False)
+                top = _substituted_max(r.tolist())
+                assert abs(top - float(x.max())) <= 4 * n * EPS * top
 
 
 class TestGramLogDet:

@@ -1,9 +1,12 @@
 """The deterministic counter generator: stream stability, ranges, and the
 seed-derivation scheme."""
 
+from itertools import count
+
 import numpy as np
 
-from gramdist.rng import MASK64, SplitMix64, derive_seed, mix64
+import gramdist.rng
+from gramdist.rng import MASK64, SplitMix64, _streams, derive_seed, mix64
 
 # pinned outputs: any change to the mixing constants or the stepping breaks
 # reproducibility of every recorded verification run
@@ -205,3 +208,37 @@ class TestBatchedDraws:
                     v[:] = 0.0
                     scalar(b, n)
             self.assert_same_draws(a, b, a.complex_vector(30), scalar_complex(b, 30))
+
+
+class TestPrefilledStreams:
+    """A verify suite's generators come from ``_streams``, which computes
+    their first blocks one chunk of trials at a time; each must equal a
+    fresh SplitMix64 of its seed draw for draw."""
+
+    def draws(self, g):
+        # scalar draws first, then a complex draw served from the first
+        # block, one that runs past its end and refills it, one of more
+        # than a block on its own, and the state after them
+        return [g.uniform(), g.randint(0, 9), g.complex_vector(5).tobytes(),
+                g.complex_vector(170).tobytes(), g.real_vector(600).tobytes(),
+                g.real_vector(7).tobytes(), g._state, g.next_u64()]
+
+    def test_prefilled_generators_equal_fresh_ones(self):
+        seeds = [derive_seed(5, 2, t) for t in range(130)] + [0, MASK64]
+        prefilled = list(_streams(seeds))
+        assert len(prefilled) == len(seeds)
+        for seed, g in zip(seeds, prefilled):
+            assert self.draws(g) == self.draws(SplitMix64(seed))
+
+    def test_one_pass_per_chunk_of_first_blocks(self, monkeypatch):
+        calls = []
+        unit = gramdist.rng._unit
+        monkeypatch.setattr(gramdist.rng, "_unit", lambda state, steps: calls.append(1) or unit(state, steps))
+        for g in _streams(range(130)):
+            g.randint(0, 9)
+            g.complex_vector(5)
+        assert len(calls) == 3  # chunks of 64, 64 and 2
+
+    def test_seeds_are_read_lazily(self):
+        g = next(_streams(count()))
+        assert g.real_vector(3).tobytes() == scalar_real(SplitMix64(0), 3).tobytes()
