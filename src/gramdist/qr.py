@@ -15,11 +15,11 @@ here, by the one rule of :func:`_rank`: the singular values above
 rows * eps of a matrix, or of its triangular factor, with column j
 divided by ||x_j||.  Full rank is settled by the first certificate that
 proves it, on the undivided matrix, then on the divided one.  Each tries,
-on a triangular factor, an O(n^2) back substitution on its comparison
-matrix (:func:`_certifies_triangular`), in Python floats up to _BLOCK
-columns, then an O(n^3) shifted Cholesky of its Gram matrix
-(:func:`_certifies_full_rank`), which alone bounds a general matrix.  An
-SVD runs only when they fail.  Column norms come from
+on a triangular factor of at most _SCALAR_COLUMNS or more than _BLOCK
+columns, an O(n^2) back substitution on its comparison matrix
+(:func:`_certifies_triangular`), then an O(n^3) shifted Cholesky of its
+Gram matrix (:func:`_certifies_full_rank`), which alone bounds a general
+matrix.  An SVD runs only when they fail.  Column norms come from
 ``linalg._column_norms``, the one norm rule of the package, and
 reductions are array methods: the same arithmetic as
 ``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
@@ -40,6 +40,14 @@ from .linalg import _BLOCK, EPS, LogDet, _array, _column_norms, _finite, _frozen
 
 # The smallest positive (subnormal) double.
 _ETA = 2.0**-1074
+
+# Factors of at most this many columns try the comparison-matrix
+# certificate first, by a loop in Python floats that costs less there than
+# the Cholesky certificate.  So do factors of more than _BLOCK columns,
+# whose block substitution is O(n^2) against Cholesky's O(n^3).  Between
+# the two, either substitution costs more than the Cholesky certificate,
+# which runs alone.
+_SCALAR_COLUMNS = 8
 
 # A full-rank certificate: True only if sigma_min(a) >= 2 * tol.
 _Certificate = Callable[[np.ndarray, float], bool]
@@ -139,20 +147,20 @@ def _norm_bound(big: float, rows: int) -> float:
 
 def _certified(r: np.ndarray, tol: float) -> bool:
     """True only if sigma_min(r) >= 2 * tol for a square triangular factor
-    r, by the certificates in their one order: the O(n^2)
-    :func:`_certifies_triangular`, then the O(n^3)
-    :func:`_certifies_full_rank`."""
-    return _certifies_triangular(r, tol) or _certifies_full_rank(r, tol)
+    r, by the certificates in their one order, cheapest first: at most
+    _SCALAR_COLUMNS or more than _BLOCK columns
+    :func:`_certifies_triangular`, then :func:`_certifies_full_rank`."""
+    n = r.shape[1]
+    return (((n <= _SCALAR_COLUMNS or n > _BLOCK) and _certifies_triangular(r, tol))
+            or _certifies_full_rank(r, tol))
 
 
 def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
     """True only if sigma_min(r) >= 2 * tol, for a square upper triangular
     r, zero below its diagonal as a factor of :func:`householder_qr` is.
     A diagonal entry that is zero, or whose modulus overflows, is never
-    certified.  :func:`_certified` tries it first on every triangular
-    factor.  Up to _BLOCK columns its substitution is a loop in Python
-    floats, which up to about 8 columns, where nearly all of the verify
-    suites' factors lie, costs less than the numpy calls of
+    certified.  Up to _SCALAR_COLUMNS columns its substitution is a loop
+    in Python floats, which there costs less than the numpy calls of
     :func:`_certifies_full_rank`.
 
     The proof is a bound through the comparison matrix M = M(r), which has
@@ -176,17 +184,17 @@ def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
       diagonal is refused, as it would give x^_i = 0.  Otherwise
       M^-1 = sum_(k<n) (D^-1 U)^k D^-1 for M = D - U, so the exact inverse
       of the computed M is at least M^-1 / (1 + 2u)^(2n) entrywise;
-    * the substitution: M x = e is solved from x_n up.  Up to _BLOCK
-      columns that is a loop in Python floats over ``r.tolist()``, each
-      x_i the sum 1 + sum_(j>i) |r_ij| x_j divided by |r_ii|.  Above, it
-      is ``linalg._solve_triangular``, whose diagonal blocks reach
-      LAPACK's LU with partial pivoting; on a triangular M that LU is exact
-      (no row is swapped, every multiplier is 0), so it forms the same
-      quotients with the sums in some order.  Every term is nonnegative,
-      so nothing cancels: a sum of k nonnegative terms carries a relative
-      error of at most gamma_k, and the product, the division (or the
-      product by a computed reciprocal) a few u more.  By induction from
-      x_n up, x^ >= x (1 - gamma_(n+4))^n;
+    * the substitution: M x = e is solved from x_n up.  Up to
+      _SCALAR_COLUMNS columns that is a loop in Python floats over
+      ``r.tolist()``, each x_i the sum 1 + sum_(j>i) |r_ij| x_j divided by
+      |r_ii|.  Above, it is ``linalg._solve_triangular``, whose diagonal
+      blocks reach LAPACK's LU with partial pivoting; on a triangular M
+      that LU is exact (no row is swapped, every multiplier is 0), so it
+      forms the same quotients with the sums in some order.  Every term is
+      nonnegative, so nothing cancels: a sum of k nonnegative terms
+      carries a relative error of at most gamma_k, and the product, the
+      division (or the product by a computed reciprocal) a few u more.  By
+      induction from x_n up, x^ >= x (1 - gamma_(n+4))^n;
     * underflow: the numerator of x_i is at least 1, so underflowed
       products shift it by at most n eta, eta the smallest subnormal, and
       x_i >= 1 / |r_ii| >= 2^-1024 is rounded to within 2^-50 relative.
@@ -200,7 +208,7 @@ def _certifies_triangular(r: np.ndarray, tol: float) -> bool:
     inf maximum failing the test.
     """
     n = r.shape[1]
-    if n <= _BLOCK:
+    if n <= _SCALAR_COLUMNS:
         top = _substituted_max(r.tolist())
     else:
         cmp = np.negative(np.abs(r), order="C")

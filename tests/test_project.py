@@ -55,7 +55,7 @@ class TestLayering:
         assert "distance" not in imported_modules("regression")
 
     def test_rank_certificates_are_named_only_in_qr(self):
-        owned = {"_certifies_triangular", "_certifies_full_rank", "_substituted_max"}
+        owned = {"_certifies_triangular", "_certifies_full_rank", "_substituted_max", "_SCALAR_COLUMNS"}
         assert owned <= names_in("qr")
         assert named_outside("qr", owned) == {}
 

@@ -32,7 +32,9 @@ from gramdist import (
 from gramdist.linalg import EPS, _column_norms, _scaled, _solve_triangular
 from gramdist.qr import (
     _BLOCK,
+    _SCALAR_COLUMNS,
     _SQUARES_FIT,
+    _certified,
     _certifies_full_rank,
     _certifies_triangular,
     _count_above,
@@ -669,12 +671,28 @@ class TestTriangularCertificate:
         # the factors of the distance routes on a wide problem, and small
         # ones at the extremes of the double range
         rng = np.random.default_rng(109)
-        # (40, 32) and (40, 33) take the scalar substitution and the LU on
-        # either side of _BLOCK
-        for m, n in ((1000, 201), (1000, 200), (40, 33), (40, 32), (12, 12), (40, 8)):
+        # (40, 8) and (40, 9) take the scalar substitution and the LU on
+        # either side of _SCALAR_COLUMNS; (40, 32) and (40, 33) lie on
+        # either side of _BLOCK, where _certified tries it first again
+        for m, n in ((1000, 201), (1000, 200), (40, 33), (40, 32), (12, 12), (40, 9), (40, 8)):
             r = householder_qr(random_complex(rng, m, n))
             for scale in (1.0, 2.0**500, 2.0**-500):
                 assert _certifies_triangular(r * scale, rank_tolerance(r * scale, m))
+
+    def test_tried_first_only_where_cheaper(self, monkeypatch):
+        # _certified tries the comparison matrix first up to
+        # _SCALAR_COLUMNS and above _BLOCK columns; between the two the
+        # Cholesky certificate runs alone
+        import gramdist.qr
+
+        tried = []
+        monkeypatch.setattr(gramdist.qr, "_certifies_triangular",
+                            lambda r, tol: tried.append(r.shape[1]) or False)
+        rng = np.random.default_rng(127)
+        for n in (1, _SCALAR_COLUMNS, _SCALAR_COLUMNS + 1, _BLOCK, _BLOCK + 1):
+            r = householder_qr(random_complex(rng, n + 3, n))
+            assert _certified(r, rank_tolerance(r, n + 3))
+        assert tried == [1, _SCALAR_COLUMNS, _BLOCK + 1]
 
     def test_overflow_claims_nothing(self):
         # x = M^-1 e overflows to inf, and with a zero tolerance the test
@@ -694,7 +712,7 @@ class TestTriangularCertificate:
     def test_overflowing_complex_modulus_claims_nothing(self):
         # Python's abs of the off-diagonal entry raises OverflowError, which
         # claims nothing and warns of nothing
-        for n in (2, _BLOCK):
+        for n in (2, _SCALAR_COLUMNS):
             r = np.eye(n, dtype=complex)
             r[0, n - 1] = 1.5e308 + 1.5e308j
             with warnings.catch_warnings():
@@ -717,10 +735,10 @@ class TestTriangularCertificate:
                         assert not _certifies_triangular(r, tol)
 
     def test_scalar_substitution_matches_the_lu(self):
-        # up to _BLOCK columns the loop forms the quotients the LU forms
-        # above it, up to the order of each nonnegative sum
+        # up to _SCALAR_COLUMNS columns the loop forms the quotients the
+        # LU forms above it, up to the order of each nonnegative sum
         rng = np.random.default_rng(113)
-        for n in (1, 2, 5, 12, _BLOCK):
+        for n in (1, 2, 5, _SCALAR_COLUMNS, 12):
             for complex_input in (False, True):
                 g = random_complex(rng, n + 3, n) if complex_input else rng.standard_normal((n + 3, n))
                 r = householder_qr(g)
