@@ -21,9 +21,13 @@ full rank, so has its column subset A, and A's rank is not decided again.
 
 Each tall QR operand is built once by ``qr._stacked``, a private
 temporary that :func:`~gramdist.qr.householder_qr` factors in place: one
-copy of A per route, and the caller's arrays are only read.  Every rank
-is decided by the one rule of ``qr``, and the projection route solves the
-normal equations of ``linalg._normal_solution``.
+copy of A per route, and the caller's arrays are only read.  The two QR
+routes check the finiteness of A and b once, as the entries of that
+operand in ``householder_qr``; only where a check or the length test
+fails do they validate A and b apart, so that an error is the one the
+projection route raises for the same input.  Every rank is decided by the
+one rule of ``qr``, and the projection route solves the normal equations
+of ``linalg._normal_solution``.
 
 The routes stay independent: the determinant route reads only the factor
 of (b|A), ``distance_qr`` only that of (A|b), and ``distance_projection``
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ShapeError
-from .linalg import LogDet, _array, _column_norms, _frozen, _normal_solution
+from .linalg import LogDet, _array, _column_norms, _exact, _frozen, _normal_solution
 from .qr import _logdet_at_rank, _outside_rank, _rank_of_r, _stacked, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
@@ -76,6 +80,32 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return mat, vec
 
 
+def _unchecked_operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and b as :func:`_operands` gives them, but not checked for
+    finiteness where both are float64 or complex128 arrays of matching
+    length: for a route that factors a matrix stacked from both by
+    :func:`_factored`, whose check covers every entry of both.  Other
+    input goes through :func:`_operands`, so it converts and fails as
+    there."""
+    if _exact(a, 2) and _exact(b, 1) and a.shape[0] == b.shape[0]:
+        return a, b
+    return _operands(a, b)
+
+
+def _factored(a, b, *blocks: np.ndarray) -> np.ndarray:
+    """The triangular factor of the blocks of :func:`_unchecked_operands`
+    (a, b) side by side, factored in place.  The finiteness check of
+    ``householder_qr`` on them stands for that of a and b; where it fails,
+    :func:`_operands` raises the error of their full validation, so the
+    class, the message and which operand it names are the same."""
+    work = _stacked(*blocks)
+    try:
+        return householder_qr(work, overwrite_a=True)
+    except ValueError:
+        _operands(a, b)
+        raise
+
+
 def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     """Log determinants of A* A and of (A|b)* (A|b), from one tall QR.
 
@@ -98,14 +128,16 @@ def gram_logdets(a, b) -> tuple[LogDet, LogDet]:
     would hold by construction.
 
     A square A is factored directly; its augmented columns are necessarily
-    dependent, so the augmented Gram determinant is exactly zero.  A wide A
-    is rejected by the factorization.
+    dependent, so the augmented Gram determinant is exactly zero, and b,
+    which that factor leaves out, is validated on its own.  A wide A is
+    rejected by the factorization.
     """
-    mat, vec = _operands(a, b)
+    mat, vec = _unchecked_operands(a, b)
     m, n = mat.shape
     if m <= n:
+        _operands(mat, vec)
         return gram_logdet(householder_qr(mat), m), LogDet.zero()
-    r = householder_qr(_stacked(vec, mat), overwrite_a=True)
+    r = _factored(a, b, vec, mat)
     k = _rank_of_r(r, m)
     r_a = householder_qr(r[:, 1:])
     ld_a = _logdet_at_rank(r_a, n) if k == n + 1 else gram_logdet(r_a, m)
@@ -177,9 +209,9 @@ def distance_qr(a, b) -> DistanceResult:
     (A|b) is built once and factored in place; no name keeps it past the
     factorization, so the rank certificates' arrays do not stack on it.
     """
-    mat, vec = _operands(a, b)
+    mat, vec = _unchecked_operands(a, b)
     m, n = mat.shape
-    r = householder_qr(_stacked(mat, vec), overwrite_a=True)
+    r = _factored(a, b, mat, vec)
     value = float(abs(r[n, n]))
     u = _outside_rank(r[:n, :n], m)
     if u is not None:

@@ -41,10 +41,21 @@ EPS = float(np.finfo(np.float64).eps)
 # The dtypes that _array passes on as they are.
 _EXACT = (np.dtype(np.float64), np.dtype(np.complex128))
 
+# Complex arrays of more than this many entries are summed before _finite
+# counts their finite entries; below it the sum's set-up costs more than
+# it saves, and on real arrays the count is as fast as the sum.
+_SUMMED = 4096
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _exact(a, ndim: int) -> bool:
+    """True when :func:`_array` passes a on as itself: a float64 or
+    complex128 ndarray of ndim positive dimensions."""
+    return type(a) is np.ndarray and a.ndim == ndim and a.size > 0 and a.dtype in _EXACT
 
 
 def _array(a, ndim: int) -> np.ndarray:
@@ -55,7 +66,7 @@ def _array(a, ndim: int) -> np.ndarray:
     other input is converted into a new array.  That first case is tested
     first and costs one finiteness pass.
     """
-    if type(a) is np.ndarray and a.ndim == ndim and a.size and a.dtype in _EXACT:
+    if _exact(a, ndim):
         out = a
     else:
         arr = np.asarray(a)
@@ -71,9 +82,22 @@ def _array(a, ndim: int) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> bool:
-    """True when every entry of a is finite.  The finite entries are
-    counted, one C call, where ``np.isfinite(a).all()`` would add a
-    reduction's set-up, which costs more on a small matrix."""
+    """True when every entry of a is finite.
+
+    The finite entries are counted, one C call, where
+    ``np.isfinite(a).all()`` would add a reduction's set-up, which costs
+    more on a small matrix.  A complex a of more than _SUMMED entries is
+    first summed, numpy's pairwise sum at memory speed, which costs less
+    than the entry-wise test of both parts: a nan or an infinite part
+    makes every sum over it a nan or an infinity, so a finite sum proves
+    every entry finite.  Any other sum, one of finite entries that
+    overflows included, falls through to the count.
+    """
+    if a.size > _SUMMED and a.dtype.kind == "c":
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(a, axis=None)
+        if math.isfinite(total.real) and math.isfinite(total.imag):
+            return True
     return bool(np.count_nonzero(np.isfinite(a)) == a.size)
 
 

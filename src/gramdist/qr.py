@@ -49,6 +49,12 @@ _ETA = 2.0**-1074
 # which runs alone.
 _SCALAR_COLUMNS = 8
 
+# _stacked copies a row-major block whose rows span at least _WIDE_ROW
+# bytes (32 real or 16 complex columns) in bands of _BAND rows.  Narrower
+# rows copy faster whole, as few column streams are written at once.
+_BAND = 64
+_WIDE_ROW = 256
+
 # A full-rank certificate: True only if sigma_min(a) >= 2 * tol.
 _Certificate = Callable[[np.ndarray, float], bool]
 
@@ -315,11 +321,30 @@ def _count_above(a: np.ndarray, tol: float,
 def _stacked(*blocks: np.ndarray) -> np.ndarray:
     """The matrices and vectors in blocks side by side, as the columns of
     one new, writeable column-major matrix: the order LAPACK factors in,
-    so householder_qr can factor it in place (``overwrite_a=True``)."""
+    so householder_qr can factor it in place (``overwrite_a=True``).
+
+    The bytes are those of ``np.concatenate`` into that matrix.  A
+    row-major block whose rows span at least _WIDE_ROW bytes is copied in
+    bands of _BAND rows: a copy of the whole block turns it from row-major
+    to column-major order over all its rows at once, and many rows down a
+    written cache line has left the cache before it is filled, while a
+    band keeps the rows it reads and the column pieces it writes in cache.
+    """
     cols = [blk.reshape(blk.shape[0], -1) for blk in blocks]
-    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols)),
-                   np.result_type(*cols), order="F")
-    return np.concatenate(cols, axis=1, out=out)
+    m = cols[0].shape[0]
+    out = np.empty((m, sum(c.shape[1] for c in cols)), np.result_type(*cols), order="F")
+    if m <= _BAND:
+        return np.concatenate(cols, axis=1, out=out)
+    j = 0
+    for c in cols:
+        k = j + c.shape[1]
+        if c.flags.c_contiguous and c.shape[1] * c.itemsize >= _WIDE_ROW:
+            for i in range(0, m, _BAND):
+                out[i:i + _BAND, j:k] = c[i:i + _BAND]
+        else:
+            out[:, j:k] = c
+        j = k
+    return out
 
 
 def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from gramdist import (
     Dataset,
     DimensionMismatch,
+    GramDistError,
     RankDeficient,
     ShapeError,
     distance_det,
@@ -95,6 +96,83 @@ class TestOperandsAreOnlyRead:
                     fn(bad_a, bad_b)
             with pytest.raises(DimensionMismatch):
                 fn(good_a, np.ones(4))
+
+
+class TestOneFinitenessCheck:
+    """The two QR routes check A and b once, as entries of the operand
+    that householder_qr factors, and raise what the full validation of
+    (A, b) raises, in its order, wherever that check fails."""
+
+    def test_entries_checked_per_route(self, monkeypatch):
+        import gramdist.linalg
+
+        checked = []
+        finite = gramdist.linalg._finite
+
+        def counted(a):
+            checked.append(a.size)
+            return finite(a)
+
+        monkeypatch.setattr(gramdist.linalg, "_finite", counted)
+        rng = np.random.default_rng(61)
+        m, n = 300, 40
+        a, b = random_complex(rng, m, n), random_cvec(rng, m)
+        for fn, expected in (
+            (distance_qr, m * (n + 1)),  # (A|b)
+            (distance_det, m * (n + 1) + (n + 1) * n),  # (b|A) and its factor's block
+            (distance_projection, m * n + m + n * n + n),  # A, b, A* A and A* b
+        ):
+            checked.clear()
+            fn(a, b)
+            assert sum(checked) == expected, fn.__name__
+
+    MATRIX = (ValueError, "matrix entries must be finite")
+    VECTOR = (ValueError, "vector entries must be finite")
+
+    @staticmethod
+    def bad_inputs(m, n):
+        rng = np.random.default_rng([67, m, n])
+        a, b = random_complex(rng, m, n), random_cvec(rng, m)
+        mismatch = (DimensionMismatch, f"vector length {m + 1} does not match row count {m}")
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (m - 1, n - 1)):
+                bad_a = a.copy()
+                bad_a[i, j] = bad
+                yield f"A[{i}, {j}] = {bad}", bad_a, b, TestOneFinitenessCheck.MATRIX
+                yield f"real A[{i}, {j}] = {bad}", bad_a.real.copy(), b.real.copy(), \
+                    TestOneFinitenessCheck.MATRIX
+        for bad in (np.nan, complex(1, np.inf)):
+            for i in (0, m - 1):
+                bad_b = b.copy()
+                bad_b[i] = bad
+                yield f"b[{i}] = {bad}", a, bad_b, TestOneFinitenessCheck.VECTOR
+                nan_a = a.copy()
+                nan_a[i, 0] = np.nan
+                yield f"b[{i}] = {bad} and a nan in A", nan_a, bad_b, TestOneFinitenessCheck.MATRIX
+        yield "length mismatch", a, np.ones(m + 1), mismatch
+        nan_a = a.copy()
+        nan_a[m // 2, n // 2] = np.nan
+        yield "length mismatch and a nan in A", nan_a, np.ones(m + 1), TestOneFinitenessCheck.MATRIX
+        yield "2-d b and a nan in A", nan_a, np.ones((m, 1)), TestOneFinitenessCheck.MATRIX
+        yield "list A with a nan", nan_a.tolist(), b, TestOneFinitenessCheck.MATRIX
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 3), (2, 3)], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("fn", [distance_det, distance_qr, distance_projection, gram_logdets])
+    def test_errors_are_those_of_the_full_validation(self, fn, shape):
+        for label, a, b, (cls, message) in self.bad_inputs(*shape):
+            with pytest.raises((ValueError, GramDistError)) as info:
+                fn(a, b)
+            assert type(info.value) is cls, label
+            assert str(info.value) == message, label
+
+    @pytest.mark.parametrize("fn", [distance_det, distance_qr, distance_projection])
+    def test_lists_and_integers_still_convert(self, fn):
+        a = [[1, 0], [1, 1], [0, 2], [3, 1]]
+        b = [1, 2, 0, 5]
+        value = fn(np.array(a, float), np.array(b, float)).value
+        assert fn(a, b).value == value
+        assert fn(np.array(a), np.array(b)).value == value
+        assert fn(np.array(a, np.int32), b).value == value
 
 
 class TestDistanceDet:

@@ -7,6 +7,7 @@ checks: a recursive cofactor determinant.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,93 @@ class TestArrayContract:
             with pytest.raises(ShapeError) as info:
                 _array(value, ndim)
             assert str(info.value) == message
+
+
+class TestFinite:
+    """_finite sums a complex array of more than _SUMMED entries first,
+    where a finite sum proves every entry finite, and counts the finite
+    entries of every other array, and wherever the sum is not finite."""
+
+    BAD = (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The sizes of the arrays whose finite entries _finite counts."""
+        sizes = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def isfinite(a):
+                sizes.append(a.size)
+                return np.isfinite(a)
+
+        monkeypatch.setattr(lin, "np", Numpy())
+        return sizes
+
+    @pytest.mark.parametrize("size", [lin._SUMMED + 1, 3 * lin._SUMMED + 7])
+    def test_one_non_finite_entry(self, size):
+        rng = np.random.default_rng([89, size])
+        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        assert lin._finite(a)
+        for bad in self.BAD:
+            for i in (0, size // 2, size - 1):
+                b = a.copy()
+                b[i] = bad
+                assert not lin._finite(b), (bad, i)
+                assert not lin._finite(b.reshape(-1, 1)), (bad, i)
+
+    def test_overflowing_sum_of_finite_entries(self, monkeypatch):
+        counted = self.counted(monkeypatch)
+        for z in (complex(1e308, 0.0), complex(0.0, -1e308), complex(1e308, 1e308)):
+            a = np.full(lin._SUMMED + 1, z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert lin._finite(a)
+                a[-1] = np.nan
+                assert not lin._finite(a)
+        # every one of those sums overflowed, so the count decided
+        assert counted == [lin._SUMMED + 1] * 6
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(91)
+        base = rng.standard_normal((130, 70)) + 1j * rng.standard_normal((130, 70))
+        views = {"strided rows": lambda x: x[::2], "strided columns": lambda x: x[:, ::2],
+                 "transposed": lambda x: x.T, "column block": lambda x: x[:, 3:65]}
+        for label, view_of in views.items():
+            view = view_of(base)
+            assert view.size > lin._SUMMED and not view.flags.c_contiguous, label
+            assert lin._finite(view), label
+            for bad in self.BAD:
+                for idx in ((0, 0), (view.shape[0] // 2, view.shape[1] // 2), (-1, -1)):
+                    b = base.copy()
+                    view_of(b)[idx] = bad
+                    assert not lin._finite(view_of(b)), (label, bad, idx)
+        # a non-finite entry outside the view is not one of its entries
+        b = base.copy()
+        b[1, 1] = np.nan
+        assert lin._finite(b[::2]) and lin._finite(b[:, ::2])
+
+    def test_real_and_small_arrays_take_the_count(self, monkeypatch):
+        counted = self.counted(monkeypatch)
+        rng = np.random.default_rng(93)
+        real = rng.standard_normal(200_000)
+        small = rng.standard_normal(lin._SUMMED) + 1j * rng.standard_normal(lin._SUMMED)
+        arrays = [real, small, real.reshape(400, 500), small.reshape(64, 64)]
+        assert all(lin._finite(a) for a in arrays)
+        assert counted == [a.size for a in arrays]
+        counted.clear()
+        real[-1] = np.inf
+        small[-1] = complex(0.0, np.nan)
+        assert not lin._finite(real) and not lin._finite(small)
+        assert lin._finite(np.full(lin._SUMMED + 1, 1e308))
+        assert counted == [real.size, small.size, lin._SUMMED + 1]
+        counted.clear()
+        # a finite sum decides a large complex array alone
+        assert lin._finite(rng.standard_normal(lin._SUMMED + 1) + 0j)
+        assert counted == []
 
 
 class TestNormHelpers:

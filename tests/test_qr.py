@@ -42,6 +42,7 @@ from gramdist.qr import (
     _norm_bound,
     _rank,
     _rank_of_r,
+    _stacked,
     _substituted_max,
 )
 
@@ -277,6 +278,54 @@ class TestOverwriteA:
             with pytest.raises(ValueError, match="overwrite_a"):
                 householder_qr(bad, overwrite_a=True)
             np.testing.assert_array_equal(bad, snapshot)
+
+
+class TestStacked:
+    """_stacked writes the bytes of np.concatenate into a new writeable
+    column-major matrix, whether it copies a block whole or in bands of
+    rows."""
+
+    @staticmethod
+    def blocks(rng, m, width, kind):
+        """One block of m rows, width columns (0 for a vector) and a dtype
+        of kind, in each layout, with a -0.0 among its entries."""
+        shape = (m,) if width == 0 else (m, width)
+        a = rng.standard_normal(shape)
+        if kind == "c":
+            a = a + 1j * rng.standard_normal(shape)
+        a.reshape(-1)[-1] = -0.0
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],), a.dtype)
+        wide[..., ::2] = a
+        out = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": wide[..., ::2]}
+        if width:
+            out["strided rows"] = np.repeat(a, 2, axis=0)[::2]
+        return out
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("kinds", ["rr", "cc", "rc", "cr"])
+    def test_same_bytes_as_concatenate(self, m, kinds):
+        rng = np.random.default_rng([107, m, *map(ord, kinds)])
+        for width in (0, 1, 3, 16, 33):
+            for lead, first in self.blocks(rng, m, width, kinds[0]).items():
+                for tail, second in self.blocks(rng, m, 0 if width else 17, kinds[1]).items():
+                    for order in ((first, second), (second, first)):
+                        label = f"{m} rows, width {width}, {lead} and {tail}, {kinds}"
+                        ref = np.concatenate([blk.reshape(m, -1) for blk in order], axis=1)
+                        out = _stacked(*order)
+                        assert out.dtype == ref.dtype and out.shape == ref.shape, label
+                        assert out.flags.f_contiguous and out.flags.writeable, label
+                        assert not any(np.shares_memory(out, blk) for blk in order), label
+                        assert out.tobytes(order="F") == ref.tobytes(order="F"), label
+
+    def test_factor_of_a_stacked_row_major_operand(self):
+        rng = np.random.default_rng(109)
+        a = random_complex(rng, 1000, 200)
+        b = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        assert a.flags.c_contiguous
+        ref = np.linalg.qr(np.concatenate((a, b[:, None]), axis=1), mode="r")
+        r = householder_qr(_stacked(a, b), overwrite_a=True)
+        assert r.dtype == ref.dtype and r.shape == ref.shape
+        assert r.tobytes() == ref.tobytes()
 
 
 class TestLapackCanary:
