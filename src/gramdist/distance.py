@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ShapeError
 from .linalg import LogDet, _array, _column_norms, _exact, _frozen, _normal_solution
-from .qr import _logdet_at_rank, _outside_rank, _rank_of_r, _stacked, gram_logdet, householder_qr
+from .qr import _logdet_at_rank, _rank_of_r, _residual, _stacked, gram_logdet, householder_qr
 
 _METHODS = ("det_ratio", "projection", "qr_coordinate")
 
@@ -203,21 +203,15 @@ def distance_qr(a, b) -> DistanceResult:
     rescaled by a power of two leaves k and the value as they are, bit for
     bit within the double range.  By unitarity this is the squared distance
     to the column span, wherever the dependent columns sit.  Requires
-    m >= n + 1 rows.  The SVD runs only where the certificates of the rule
-    fail (``qr._outside_rank``).
+    m >= n + 1 rows.  The value and k are the one reading of the factor,
+    ``qr._residual``, that ``regression_report`` also takes; its SVD runs
+    only where the certificates of the rule fail.
 
     (A|b) is built once and factored in place; no name keeps it past the
     factorization, so the rank certificates' arrays do not stack on it.
     """
     mat, vec = _unchecked_operands(a, b)
-    m, n = mat.shape
-    r = _factored(a, b, mat, vec)
-    value = float(abs(r[n, n]))
-    u = _outside_rank(r[:n, :n], m)
-    if u is not None:
-        # at a full count u is empty and the hypot returns value exactly
-        value = math.hypot(value, _column_norms(u.conj().T @ r[:n, n]))
-    return DistanceResult(value, "qr_coordinate")
+    return DistanceResult(_residual(_factored(a, b, mat, vec), mat.shape[0])[0], "qr_coordinate")
 
 
 def _minor_logdets(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,13 +13,15 @@ stays the only runtime dependency.
 No rank is decided while factoring.  Every rank of the package is counted
 here, by the one rule of :func:`_rank`: the singular values above
 rows * eps of a matrix, or of its triangular factor, with column j
-divided by ||x_j||.  Full rank is settled by the first certificate that
-proves it, on the undivided matrix, then on the divided one.  Each tries,
+divided by ||x_j||; :func:`_residual` reads that count of A and the
+distance of b off the factor of (A|b).  Full rank is settled by the first
+certificate that proves it, on the undivided matrix, then on the divided
+one (:func:`_divided`).  Each tries,
 on a triangular factor of at most _SCALAR_COLUMNS or more than _BLOCK
 columns, an O(n^2) back substitution on its comparison matrix
 (:func:`_certifies_triangular`), then an O(n^3) shifted Cholesky of its
 Gram matrix (:func:`_certifies_full_rank`), which alone bounds a general
-matrix.  An SVD runs only when they fail.  Column norms come from
+matrix.  The SVD runs only when they fail.  Column norms come from
 ``linalg._column_norms``, the one norm rule of the package, and
 reductions are array methods: the same arithmetic as
 ``np.linalg.norm(x, axis=0)`` and ``np.max`` without their per-call Python
@@ -81,9 +83,8 @@ def _rank(a: np.ndarray, rows: int, x: np.ndarray | None = None, *,
     the column order changes the count, as a distance to a column space
     does not change.
     """
-    certified = _certified if triangular else _certifies_full_rank
-    e = _divided(a, rows, x, certified)
-    return a.shape[1] if e is None else _count_above(e, rows * EPS, certified)
+    e = _divided(a, rows, x, _certified if triangular else _certifies_full_rank)
+    return a.shape[1] if e is None else int((np.linalg.svd(e, compute_uv=False) > rows * EPS).sum())
 
 
 def _rank_of_r(r: np.ndarray, rows: int) -> int:
@@ -91,24 +92,31 @@ def _rank_of_r(r: np.ndarray, rows: int) -> int:
     return _rank(r, rows, triangular=True)
 
 
-def _outside_rank(r: np.ndarray, rows: int) -> np.ndarray | None:
-    """The directions outside the numerical range of the triangular factor
-    r of an m-row matrix, m = rows, by the rule of :func:`_rank`: None
-    where a certificate proves full rank, else U[:, k:] for the divided
-    r = U S V* and k its count, empty at a full count.  Dividing a column
-    by a positive number leaves the range as it is."""
-    e = _divided(r, rows, None, _certified)
-    if e is None or _certified(e, rows * EPS):
-        return None
+def _residual(r: np.ndarray, rows: int, x: np.ndarray | None = None) -> tuple[float, int]:
+    """(value, k) off the triangular factor r of an m-row (A|b), m = rows:
+    A's rank k by the rule of :func:`_rank` on R11 = r[:n, :n] with column
+    j divided by ||x_j|| (by default R11 itself), and the distance of b to
+    the span of A.  That is |r[n, n]| at k = n, and otherwise adds the part
+    of r[:n, n] outside the range of R11, U[:, k:]* r[:n, n] for the
+    divided R11 = U S V*: dividing a column leaves the range as it is.  The
+    SVD and the hypot run only where the certificates fail; at a full count
+    U[:, k:] is empty and the hypot returns |r[n, n]| exactly."""
+    n = r.shape[1] - 1
+    value = float(abs(r[n, n]))
+    e = _divided(r[:n, :n], rows, x, _certified)
+    if e is None:
+        return value, n
     u, s, _ = np.linalg.svd(e)
-    return u[:, int((s > rows * EPS).sum()):]
+    k = int((s > rows * EPS).sum())
+    return math.hypot(value, _column_norms(u[:, k:].conj().T @ r[:n, n])), k
 
 
 def _divided(a: np.ndarray, rows: int, x: np.ndarray | None,
              certified: _Certificate) -> np.ndarray | None:
-    """None where certified proves the count of :func:`_rank` full on a
-    itself, else a with column j divided by ||x_j|| (a zero column stays
-    zero), the matrix whose singular values the rule counts.
+    """None where certified proves the count of :func:`_rank` full, on a
+    itself or else on a with column j divided by ||x_j|| (a zero column
+    stays zero); else that divided matrix, whose singular values the rule
+    counts.
 
     With D = diag(||x_j||), sigma_min(a D^-1) >= sigma_min(a) / max_j ||x_j||,
     so a certificate of sigma_min(a) >= 2 rows eps top, for any top at or
@@ -137,7 +145,8 @@ def _divided(a: np.ndarray, rows: int, x: np.ndarray | None,
             return None
     xs, s = _scaled(x)
     norms = _column_norms(xs)
-    return a / (s * np.where(norms > 0.0, norms, 1.0))
+    e = a / (s * np.where(norms > 0.0, norms, 1.0))
+    return None if certified(e, rows * EPS) else e
 
 
 def _norm_bound(big: float, rows: int) -> float:
@@ -308,16 +317,6 @@ def _certifies_full_rank(a: np.ndarray, tol: float) -> bool:
     return _finite(low)
 
 
-def _count_above(a: np.ndarray, tol: float,
-                 certified: _Certificate = _certifies_full_rank) -> int:
-    """Number of singular values of an m x n matrix a above tol, with no
-    SVD where certified, by default the shifted Cholesky that any matrix
-    takes, proves sigma_min >= 2 * tol."""
-    if certified(a, tol):
-        return a.shape[1]
-    return int((np.linalg.svd(a, compute_uv=False) > tol).sum())
-
-
 def _stacked(*blocks: np.ndarray) -> np.ndarray:
     """The matrices and vectors in blocks side by side, as the columns of
     one new, writeable column-major matrix: the order LAPACK factors in,
@@ -359,7 +358,8 @@ def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:
     The same values reach geqrf in the same layout either way, and R is
     a new array in both.  The workspace is the size geqrf asks for, as
     ``np.linalg.qr`` sizes it, so the block size and hence R are the same
-    bit for bit.
+    bit for bit.  A finite A whose computed R is not finite, as where a
+    reflector overflows on columns near 1e308, raises OverflowError.
     """
     mat = _array(a, 2)
     m, n = mat.shape
@@ -381,10 +381,11 @@ def householder_qr(a, *, overwrite_a: bool = False) -> np.ndarray:
     info = geqrf(m, n, work.T, m, tau, np.empty(lwork, work.dtype), lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"geqrf failed with info={info}")
-    if n > _BLOCK:
-        return _frozen(np.triu(work[:n]))
-    # np.triu's where, without rebuilding its mask: +0.0 below the diagonal
-    return _frozen(np.where(_UPPER[:n, :n], work[:n], 0.0))
+    # up to _BLOCK columns np.triu's where, without rebuilding its mask
+    r = np.triu(work[:n]) if n > _BLOCK else np.where(_UPPER[:n, :n], work[:n], 0.0)
+    if not _finite(r):
+        raise OverflowError("the triangular factor does not fit a double")
+    return _frozen(r)
 
 
 def gram_logdet(r: np.ndarray, rows: int) -> LogDet:

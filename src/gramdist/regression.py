@@ -6,8 +6,10 @@ loss value) is |r[n, n]|, the square root of the ratio of two centered Gram
 determinants, and the multiple correlation follows from it by Pythagoras.
 The classical route through the normal equations gives the coefficients
 and a second correlation to check against.  :func:`regression_report`
-computes them all, each step once, from the factor and the rank rule of
-``qr`` and the normal equations and power-of-two scaling of ``linalg``.
+computes them all, each step once: the loss value and the rank from the
+one reading of the factor that ``distance_qr`` also takes
+(``qr._residual``), and the normal equations and power-of-two scaling of
+``linalg``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, ZeroVariance
 from .linalg import EPS, _array, _column_norms, _frozen, _normal_solution, _scaled
-from .qr import _rank, _stacked, householder_qr
+from .qr import _rank, _residual, _stacked, householder_qr
 
 
 def _real(a, ndim: int) -> np.ndarray:
@@ -137,12 +139,13 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     leading n x n block of its factor R is the factor of Xc, so the rank is
     decided on Xc alone, by one count on that block with the divisors of
     :func:`centered_rank`, and the target column stays a plain value
-    whatever the scale of y.  The loss value |r[n, n]| is thus the
-    distance of yc to the column space of Xc that ``distance_qr`` reads
-    off the factor of the same (Xc|yc), by the same rank rule.  The
-    rank comes first: data that has fewer than n + 1 samples or is rank
-    deficient raises :class:`RankDeficient`, even with a constant y.  A
-    target with zero variance at tolerance raises :class:`ZeroVariance`.
+    whatever the scale of y.  The loss value and that rank are one reading
+    of R, ``qr._residual``, the one ``distance_qr`` takes of the factor of
+    the same (Xc|yc): at full rank both read |r[n, n]|.  The rank comes
+    first: data that has fewer than n + 1 samples or is rank deficient
+    raises :class:`RankDeficient`, even with a constant y.  A target with
+    zero variance at tolerance raises :class:`ZeroVariance`, and centered
+    data whose column sums overflow raises OverflowError.
 
     With no solve, the loss value is |r[n, n]| and the correlation
     ||r[:n, n]|| / ||r[:, n]||: the paper's radicand
@@ -161,13 +164,18 @@ def regression_report(d: Dataset, *, solve: bool = True) -> RegressionReport:
     n = d.n
     if d.m < n + 1:
         raise RankDeficient(f"need at least {n + 1} samples for {n} regressors")
-    # the sums over the count: what .mean() computes, without its set-up
-    x_mean, y_mean = d.x.sum(axis=0) / d.m, float(d.y.sum()) / d.m
-    xc, yc = d.x - x_mean, d.y - y_mean
-    r = householder_qr(_stacked(xc, yc), overwrite_a=True)
-    if _rank(r[:n, :n], d.m, d.x, triangular=True) < n:
+    # the sums over the count: what .mean() computes, without its set-up;
+    # a sum that overflows leaves entries the factorization refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean, y_mean = d.x.sum(axis=0) / d.m, float(d.y.sum()) / d.m
+        xc, yc = d.x - x_mean, d.y - y_mean
+    try:
+        r = householder_qr(_stacked(xc, yc), overwrite_a=True)
+    except ValueError:
+        raise OverflowError("the centered data does not fit a double") from None
+    loss, rank = _residual(r, d.m, d.x)
+    if rank < n:
         raise RankDeficient("centered sample matrix is rank deficient at tolerance")
-    loss = float(abs(r[n, n]))
     ys, y_scale = _scaled(yc)
     ny = _column_norms(ys)
     tol = d.m * EPS * max(1.0, float(np.abs(d.y).max()))

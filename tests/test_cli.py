@@ -162,6 +162,16 @@ class TestDist:
         assert code == 0
         assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
 
+    def test_factor_beyond_a_double_exits_1(self, capsys, tmp_path):
+        # finite cells whose factor holds inf: the error names the factor
+        ma = write(tmp_path, "a.csv", "c1,c2\n1e308,1\n1e308,2\n-1e308,3\n")
+        vb = write(tmp_path, "b.csv", "v\n1\n2\n3\n")
+        for fmt in ("text", "json"):
+            code = main(["dist", "--matrix", ma, "--vector", vb, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "gramdist: error: the triangular factor does not fit a double\n"
+
     def test_overflowing_rhs_keeps_the_factor_routes(self, capsys, tmp_path):
         # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
         # it: the projection route is undefined, the other two answer
@@ -350,16 +360,31 @@ class TestRegress:
             assert captured.err.startswith("gramdist: error:")
 
     def test_overflow_names_what_overflowed(self, capsys, tmp_path):
-        # max|y - mean| is 1.36e308, at or above 2^1023: the scale of the
-        # report's norms still fits a double, and the error names the
-        # number that does not, in the regression's own terms
-        d = write(tmp_path, "huge.csv", "x,y\n1,1.7e308\n2,0\n3,1\n4,0\n5,2\n")
-        for flags, what in (([], "Xc* yc"), (["--no-solve"], "a result of the regression")):
+        # max|y - mean| is 1.36e308, at or above 2^1023: geqrf's reflector
+        # product with yc overflows, so the computed factor of (Xc|yc) holds
+        # -inf and nan, and the error names that factor, with and without
+        # the solve.  With y near 1e250 and x near 1e100 the factor fits,
+        # and the error names Xc* yc, or the squared loss, in the
+        # regression's own terms
+        huge = write(tmp_path, "huge.csv", "x,y\n1,1.7e308\n2,0\n3,1\n4,0\n5,2\n")
+        wide = write(tmp_path, "wide.csv", "x,y\n1e100,1e250\n2e100,0\n3e100,3e250\n4e100,0\n5e100,2e250\n")
+        for d, flags, what in ((huge, [], "the triangular factor"), (huge, ["--no-solve"], "the triangular factor"),
+                               (wide, [], "Xc* yc"), (wide, ["--no-solve"], "a result of the regression")):
             code = main(["regress", "--data", d, "--target", "y"] + flags)
             captured = capsys.readouterr()
             assert code == 1
             assert captured.out == ""
             assert captured.err == f"gramdist: error: {what} does not fit a double\n"
+
+    def test_centered_data_beyond_a_double_exits_1(self, capsys, tmp_path):
+        # the column sum of finite cells overflows: the error names the
+        # centered data, not the cells
+        d = write(tmp_path, "c.csv", "x,y\n1e308,1\n1e308,2\n-1e308,3\n0,1\n")
+        for flags in ([], ["--no-solve"], ["--coefficients"]):
+            code = main(["regress", "--data", d, "--target", "y"] + flags)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "gramdist: error: the centered data does not fit a double\n"
 
     def test_regressor_whose_squares_overflow_keeps_its_rank(self, capsys, tmp_path):
         # one nonconstant column near 1e160: its norm is taken on the column

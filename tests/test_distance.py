@@ -668,6 +668,15 @@ class TestScaledInputs:
         with pytest.raises(OverflowError, match=r"^Gram matrix of A does not fit a double$"):
             distance_projection(1e160 * a, 1e160 * b)
 
+    def test_factor_beyond_a_double_is_an_overflow(self):
+        # finite A and b whose computed factors hold inf: the factor routes
+        # and gram_logdets raise the factor's OverflowError, with no warning
+        a = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        for route in (distance_det, distance_qr, gram_logdets):
+            with pytest.raises(OverflowError, match=r"^the triangular factor does not fit a double$"):
+                route(a, b)
+
     def test_overflowing_rhs_is_named(self):
         # A at 1e150 keeps A* A in range and b at 1e160 takes A* b out of
         # it: the error names A* b, not the Gram matrix

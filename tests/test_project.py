@@ -62,14 +62,34 @@ class TestLayering:
     def test_one_rank_rule_owned_by_qr(self):
         # a rank count compares singular values with a tolerance: only qr
         # takes singular values and holds the column division and its range
-        owned = {"_SQUARES_FIT", "_divided", "_count_above", "svd"}
+        owned = {"_SQUARES_FIT", "_divided", "svd"}
         assert owned <= names_in("qr")
         assert named_outside("qr", owned) == {}
+
+    def test_singular_values_are_taken_only_by_the_rank_entries(self):
+        # one SVD per count: in _rank, and in _residual, which reads the
+        # count and the distance off the factor of (A|b) together
+        tree = ast.parse((PACKAGE / "qr.py").read_text(encoding="utf-8"))
+        takers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "svd"}
+        assert takers == {"_rank", "_residual"}
+
+    def test_the_report_and_distance_qr_share_one_reading(self):
+        # the loss and the rank of regression_report, and distance_qr's
+        # value, come from qr._residual; the report counts no rank itself
+        report, distance = (
+            {node.func.id for node in ast.walk(fn) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            for module, name in (("regression", "regression_report"), ("distance", "distance_qr"))
+            for fn in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+        )
+        assert "_residual" in report and "_residual" in distance
+        assert "_rank" not in report
 
     def test_callers_pass_the_rank_rule_no_tolerance(self):
         # the rank entries take the matrix, its row count and the divisors;
         # no argument of a call to one outside qr is formed from eps
-        entries = {"_rank", "_rank_of_r", "_outside_rank", "gram_logdet"}
+        entries = {"_rank", "_rank_of_r", "_residual", "gram_logdet"}
         for name in entries:
             params = inspect.signature(getattr(gramdist.qr, name)).parameters
             assert not {"tol", "tolerance"} & set(params), name
@@ -84,7 +104,7 @@ class TestLayering:
         assert "EPS" not in names_in("distance")
 
     def test_the_old_rank_rules_are_gone(self):
-        gone = {"_rank_tolerance", "_equilibrated_rank", "_centered_rank_of_r"}
+        gone = {"_rank_tolerance", "_equilibrated_rank", "_centered_rank_of_r", "_outside_rank", "_count_above"}
         assert {p.stem for p in PACKAGE.glob("*.py") if names_in(p.stem) & gone} == set()
 
     def test_the_phase_record_is_gone(self):

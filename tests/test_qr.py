@@ -37,11 +37,11 @@ from gramdist.qr import (
     _certified,
     _certifies_full_rank,
     _certifies_triangular,
-    _count_above,
     _divided,
     _norm_bound,
     _rank,
     _rank_of_r,
+    _residual,
     _stacked,
     _substituted_max,
 )
@@ -99,6 +99,19 @@ class TestHouseholderQr:
     def test_rows_less_than_cols_rejected(self):
         with pytest.raises(ShapeError):
             householder_qr(np.ones((2, 3)))
+
+    def test_factor_beyond_a_double_is_an_overflow(self):
+        # every entry of A is finite and so is the true R (r[0, 0] is
+        # -sqrt(3) 1e308, r[0, 1] is 0 and |r[1, 1]| sqrt(14)), but the first
+        # reflector overflows on the second column: geqrf returns -inf (nan
+        # in complex) for r[0, 1], which is an error, not a warning
+        a = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+        for operand in (a, np.column_stack([a, [1.0, 2.0, 3.0]]), a.astype(complex)):
+            with pytest.raises(OverflowError, match=r"^the triangular factor does not fit a double$"):
+                householder_qr(operand)
+            work = np.array(operand, order="F")
+            with pytest.raises(OverflowError):
+                householder_qr(work, overwrite_a=True)
 
     @pytest.mark.parametrize("complex_input", [False, True])
     def test_reconstruction(self, complex_input):
@@ -416,6 +429,18 @@ def svd_count(a, tol):
     return int(np.sum(np.linalg.svd(a, compute_uv=False) > tol))
 
 
+def never(a, tol):
+    """A certificate that proves nothing."""
+    return False
+
+
+def rule_count(a, rows, x=None):
+    """The count of the rank rule by the SVD alone: the singular values
+    above rows * eps of the matrix that qr._divided divides when no
+    certificate proves the full count."""
+    return svd_count(_divided(a, rows, x, never), rows * EPS)
+
+
 def with_sigma_min(rng, m, n, factor, complex_input=False, top=1.0):
     """An m x n matrix with singular values spread over [0.01, top] and the
     smallest set to factor times the rank tolerance of the same matrix with
@@ -451,7 +476,7 @@ def dependent_inputs(rng):
 
 class TestRankCertificate:
     """The certificate returns n only where the SVD counts n singular values
-    above the tolerance, and _count_above always gives the SVD count."""
+    above the tolerance, and _rank always gives the SVD count of the rule."""
 
     @staticmethod
     def check(a, tol=None):
@@ -459,7 +484,7 @@ class TestRankCertificate:
         count = svd_count(a, tol)
         certified = _certifies_full_rank(a, tol)
         assert not certified or count == a.shape[1]
-        assert _count_above(a, tol) == count
+        assert _rank(a, a.shape[0]) == rule_count(a, a.shape[0])
         return certified
 
     @pytest.mark.parametrize("complex_input", [False, True])
@@ -495,7 +520,7 @@ class TestRankCertificate:
         for m, n in ((2, 3), (5, 9), (1, 4)):
             a = random_complex(rng, m, n)
             assert not self.check(a)
-            assert _count_above(a, rank_tolerance(a, m)) == m
+            assert _rank(a, m) == m
 
     def test_overflow_claims_nothing(self):
         # squares beyond the double range: the Gram matrix holds inf, so the
@@ -512,13 +537,14 @@ class TestRankCertificate:
         # and no warning on the way to the SVD
         a = 0.9e154 * np.array([[1.0, 1.0], [1.0, -1.0]])
         assert not self.check(a)
-        assert _count_above(a, rank_tolerance(a, 2)) == 2
+        assert svd_count(a, rank_tolerance(a, 2)) == _rank(a, 2) == 2
 
     def test_tolerance_survives_overflowing_squares(self):
         # exact power-of-two scalings: column norms up to about 1e302, whose
         # squares overflow, reach the division of qr._divided, which divides
         # column j by s_j ||x_j / s_j||, s_j from linalg._scaled: 2^k times
-        # the norm in range to a few ulps, and the full count
+        # the norm in range to a few ulps, and the full count; a certificate
+        # that proves nothing makes _divided return the divided matrix
         rng = np.random.default_rng(107)
         for a, m in ((rng.standard_normal((30, 5)), 30), (random_complex(rng, 12, 12), 12),
                      (householder_qr(random_complex(rng, 40, 6)), 40)):
@@ -526,8 +552,9 @@ class TestRankCertificate:
             for k in (520, 1000):
                 x = a * 2.0**k
                 with np.errstate(over="ignore", invalid="ignore"):
-                    assert _count_above(x, rank_tolerance(x, m)) == a.shape[1]
-                divided = _divided(x, m, None, _certifies_full_rank)
+                    assert svd_count(x, rank_tolerance(x, m)) == a.shape[1]
+                assert _rank(x, m) == a.shape[1]
+                divided = _divided(x, m, None, never)
                 xs, s = _scaled(x)
                 divisors = s * _column_norms(xs)
                 assert divided.tobytes() == (x / divisors).tobytes()
@@ -540,7 +567,8 @@ class TestRankCertificate:
         monkeypatch.setattr(np.linalg, "svd", None)
         for a in inputs:
             for scale in (1.0, 2.0**400, 2.0**-400):
-                assert _count_above(a * scale, rank_tolerance(a * scale, a.shape[0])) == a.shape[1]
+                assert _certifies_full_rank(a * scale, rank_tolerance(a * scale, a.shape[0]))
+                assert _rank(a * scale, a.shape[0]) == a.shape[1]
 
     def test_shift_sets_the_threshold(self):
         # sigma_min^2 at four times the shift certifies, at a quarter fails;
@@ -617,15 +645,22 @@ class TestColumnScaleInvariance:
         if dependent != "none" and n > 1:
             assert counts[0][0] < n
 
-    def test_one_small_column_is_rank(self):
+    def test_one_small_column_is_rank(self, monkeypatch):
         # one column at 2^-50 of the others: a tolerance relative to the
-        # largest column norm would count it as no rank
+        # largest column norm would count it as no rank.  The certificate
+        # on the divided matrix proves the full count, so neither the rank
+        # nor the distance read off the factor of (A|b) takes an SVD
         rng = np.random.default_rng(113)
         for a in (rng.standard_normal((30, 5)), random_complex(rng, 12, 6)):
             a[:, 0] *= 2.0**-50
             m, n = a.shape
-            assert _rank(a, m) == _rank_of_r(householder_qr(a), m) == n
-            assert _count_above(a, rank_tolerance(a, m)) < n
+            assert not _certifies_full_rank(a, rank_tolerance(a, m))
+            assert svd_count(a, rank_tolerance(a, m)) < n
+            r = householder_qr(np.column_stack([a, rng.standard_normal(m)]))
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", None)
+                assert _rank(a, m) == _rank_of_r(householder_qr(a), m) == n
+                assert _residual(r, m) == (abs(r[n, n]), n)
 
 
 class TestNormBound:

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gramdist import (
     Dataset,
@@ -21,14 +23,15 @@ from gramdist import (
     ZeroVariance,
     centered_rank,
     design_rank,
+    distance_qr,
     householder_qr,
     loss_value_residual,
     regression_report,
 )
 from gramdist.cli import main
 from gramdist.linalg import EPS
-from gramdist.qr import _count_above, _rank, _rank_of_r
-from test_qr import rank_tolerance
+from gramdist.qr import _rank, _rank_of_r, _residual
+from test_qr import rank_tolerance, svd_count
 
 SQRT_02 = math.sqrt(0.2)
 SQRT_09 = math.sqrt(0.9)
@@ -194,6 +197,22 @@ class TestLossValueDet:
             dr = loss_value_residual(d, rep.coefficients)
             assert abs(dd - dr) <= 1e-8 * max(dd, dr, 1e-30)
 
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(1, 30),
+        exponents=st.lists(st.integers(-20, 20), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_is_distance_qr_of_the_centered_data(self, n, extra, exponents, seed):
+        # one reading of one factor: the report's loss is distance_qr of
+        # the (Xc, yc) it centers, bit for bit, whatever power of two
+        # scales each column
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        d = Dataset(rng.standard_normal((m, n)) * np.ldexp(1.0, exponents[:n]), rng.standard_normal(m))
+        xc, yc = d.x - d.x.sum(axis=0) / m, d.y - float(d.y.sum()) / m
+        assert regression_report(d).loss_value == distance_qr(xc, yc).value
+
     def test_exact_interpolation_both_routes_vanish(self):
         # m = n + 1 makes (1|X) square: the fit is exact and both routes
         # must agree on zero at machine scale
@@ -323,7 +342,8 @@ class TestRankRelation:
 
     def test_counting_on_the_matrix_matches_its_factor(self):
         # a rank counted on A is the rank counted on its factor R; the
-        # centered rule on Xc matches its factor, zero-padded when Xc is wide
+        # centered rule on Xc matches the count that qr._residual reads off
+        # the factor of (Xc|yc), zero-padded when it is wide
         rng = np.random.default_rng(29)
         for trial in range(40):
             m, n = int(rng.integers(4, 30)), int(rng.integers(2, 6))
@@ -341,7 +361,7 @@ class TestRankRelation:
             elif case == 4:
                 a[:, n - 1] = 0.1
             for scale in (1.0, 1e8):
-                count = _count_above(scale * a, rank_tolerance(scale * a, m))
+                count = svd_count(scale * a, rank_tolerance(scale * a, m))
                 assert count == _rank(scale * a, m) == _rank_of_r(householder_qr(scale * a), m)
         datasets = [*centering_residue_datasets(), offset_dataset()]
         for m, n in ((2, 3), (3, 5), (6, 6), (7, 4), (40, 8)):
@@ -354,8 +374,9 @@ class TestRankRelation:
             datasets += [Dataset(dup, np.zeros(m)), Dataset(const, np.zeros(m))]
         for d in datasets:
             xc = d.x - d.x.mean(axis=0)
-            padded = np.vstack([xc, np.zeros((max(d.n - d.m, 0), d.n))])
-            assert _rank(xc, d.m, d.x) == _rank(householder_qr(padded), d.m, d.x, triangular=True)
+            aug = np.column_stack([xc, d.y - d.y.mean()])
+            padded = np.vstack([aug, np.zeros((max(d.n + 1 - d.m, 0), d.n + 1))])
+            assert _rank(xc, d.m, d.x) == _residual(householder_qr(padded), d.m, d.x)[1]
 
     def test_constant_columns_drop_centered_rank(self):
         # the rule the report enforces: an exact constant centers to zeros,
@@ -431,14 +452,16 @@ class TestRegressionReport:
         assert sorted(calls) == ["_normal_solution", "householder_qr"]
 
     def test_rank_decided_only_where_read(self, line_fixture, monkeypatch):
-        # the factorization decides no rank; the report, centered_rank and
-        # design_rank make one count each, and the two rank functions count
-        # on the matrix itself, factoring nothing
+        # the factorization decides no rank; the report reads its rank and
+        # loss in one qr._residual call and makes no _rank call;
+        # centered_rank and design_rank make one count each, and the two
+        # rank functions count on the matrix itself, factoring nothing
         import gramdist.qr as qr
         import gramdist.regression as reg
 
-        rank = qr._rank
+        rank, residual = qr._rank, qr._residual
         calls = []
+        residuals = []
         factored = []
         svds = []
 
@@ -446,17 +469,24 @@ class TestRegressionReport:
             calls.append(a.shape)
             return rank(a, rows, x, **kwargs)
 
+        def counted_residual(r, rows, x=None):
+            residuals.append(r.shape)
+            return residual(r, rows, x)
+
         def counted_qr(a):
             factored.append(np.shape(a))
             return householder_qr(a)
 
         monkeypatch.setattr(qr, "_rank", counted)
         monkeypatch.setattr(reg, "_rank", counted)
+        monkeypatch.setattr(qr, "_residual", counted_residual)
+        monkeypatch.setattr(reg, "_residual", counted_residual)
         householder_qr(np.column_stack([line_fixture.x, line_fixture.y]))
-        assert calls == []
+        assert calls == residuals == []
         regression_report(line_fixture)
-        assert len(calls) == 1
-        calls.clear()
+        regression_report(line_fixture, solve=False)
+        assert calls == []
+        assert residuals == [(2, 2), (2, 2)]
         monkeypatch.setattr(reg, "householder_qr", counted_qr)
         centered_rank(line_fixture)
         assert len(calls) == 1
@@ -544,6 +574,14 @@ class TestRegressionReport:
             for kwargs in ({}, {"solve": False}):
                 with pytest.raises(OverflowError):
                     regression_report(d, **kwargs)
+
+    def test_centered_data_beyond_a_double_is_an_overflow(self):
+        # finite entries whose column sum overflows: centering warns of
+        # nothing, and the error names the centered data, not the entries
+        d = Dataset(np.array([[1e308], [1e308], [-1e308], [0.0]]), np.array([1.0, 2.0, 3.0, 1.0]))
+        for solve in (True, False):
+            with pytest.raises(OverflowError, match=r"^the centered data does not fit a double$"):
+                regression_report(d, solve=solve)
 
     @pytest.mark.parametrize("k", [510, 515])
     def test_results_that_fit_a_double_survive_a_huge_target(self, k):
